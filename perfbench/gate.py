@@ -5,15 +5,22 @@ The reference is the KDBB baseline (``repro.baselines.KDBBSolver``), a
 separate exact algorithm with its own heuristic, bounds and branching.  It
 runs in worker processes after the timed window, on inputs rebuilt from
 their seeded specs, so it never shares a graph object with the program.
+Run as a script, this module is such a worker: JSON tasks on stdin, JSON
+sizes on stdout.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import inputs
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # A spec rebuilds one input graph: ("gnp", n, p, seed),
 # ("powerlaw", n, m, p, seed), or ("churn", base_spec, churn_seed) whose
@@ -80,15 +87,46 @@ def _reference_task(task: Tuple[Spec, int, Sequence[int]]) -> List[int]:
     return sizes
 
 
+def program_env() -> Dict[str, str]:
+    """The environment for a child process that imports the program from ``src/``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
 def reference_sizes(tasks: Sequence[Tuple[Spec, int, Sequence[int]]], workers: int) -> List[List[int]]:
-    """Run the reference solver over ``tasks`` in ``workers`` processes."""
+    """Run the reference solver over ``tasks`` in ``workers`` processes.
+
+    Tasks are dealt back and forth (0, 1, 1, 0, 0, 1, ...), so a list that
+    alternates cheap and costly shapes still splits evenly.
+    """
     if workers <= 1 or len(tasks) <= 1:
         return [_reference_task(t) for t in tasks]
-    with multiprocessing.get_context("spawn").Pool(workers) as pool:
-        out = pool.map(_reference_task, tasks, chunksize=1)
-        pool.close()
-        pool.join()
-    return out
+    shares = [[i for i in range(len(tasks)) if (i + i // workers) % workers == w] for w in range(workers)]
+    procs = []
+    try:
+        for share in shares:
+            proc = subprocess.Popen(
+                [sys.executable, os.path.abspath(__file__)], env=program_env(),
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            )
+            procs.append(proc)
+            proc.stdin.write(json.dumps([tasks[i] for i in share]))
+            proc.stdin.close()
+        out: List[List[int]] = [[] for _ in tasks]
+        for share, proc in zip(shares, procs):
+            sizes = json.loads(proc.stdout.read())
+            if proc.wait() != 0:
+                raise RuntimeError("reference worker failed")
+            for i, got in zip(share, sizes):
+                out[i] = got
+        return out
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            proc.stdout.close()
 
 
 def churn_reference(base: Spec, churn_seed: int, k: int, steps: int, workers: int) -> Dict[int, int]:
@@ -103,3 +141,7 @@ def churn_reference(base: Spec, churn_seed: int, k: int, steps: int, workers: in
     for share, got in zip(shares, reference_sizes(tasks, len(tasks))):
         sizes.update(zip(share, got))
     return sizes
+
+
+if __name__ == "__main__":
+    json.dump([_reference_task(task) for task in json.load(sys.stdin)], sys.stdout)

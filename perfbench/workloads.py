@@ -21,7 +21,6 @@ import inputs
 import tracing
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SRC = os.path.join(os.path.dirname(HERE), "src")
 WORK = ".perfbench_work"
 
 # Shapes at full scale and at the self-test's tiny scale.
@@ -99,17 +98,11 @@ class Run:
         return elapsed < self.seconds or count < minimum
 
 
-def _env() -> Dict[str, str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    return env
-
-
 def import_seconds() -> float:
     """Time ``import repro`` in a fresh interpreter."""
     code = "import time; t = time.perf_counter(); import repro; print(time.perf_counter() - t)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True,
+        [sys.executable, "-c", code], env=gate.program_env(), capture_output=True, text=True,
         timeout=60, check=True,
     )
     return float(out.stdout.strip())
@@ -221,7 +214,7 @@ class Server:
             argv = [sys.executable, "-m", "repro", "serve"]
         argv += ["--port", "0", *extra]
         self.proc = subprocess.Popen(
-            argv, env=_env(), stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            argv, env=gate.program_env(), stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
         )
         self.port = None
         for line in self.proc.stdout:
