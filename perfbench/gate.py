@@ -3,18 +3,16 @@ whose size equals an independent reference.
 
 The reference is the KDBB baseline (``repro.baselines.KDBBSolver``), a
 separate exact algorithm with its own heuristic, bounds and branching.  It
-runs in worker processes after the timed window, on inputs rebuilt from
-their seeded specs, so it never shares a graph object with the program.
-Run as a script, this module is such a worker: JSON tasks on stdin, JSON
-sizes on stdout.
+runs in freshly spawned worker processes after the timed window, on inputs
+rebuilt from their seeded specs, so it never shares a graph object, or the
+traced run's wrappers, with the program.
 """
 
 from __future__ import annotations
 
-import json
+import multiprocessing
 import os
-import subprocess
-import sys
+from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -72,7 +70,8 @@ def _kdbb_size(edges: Iterable[inputs.Edge], k: int) -> int:
 
 
 def _reference_task(task: Tuple[Spec, int, Sequence[int]]) -> List[int]:
-    """Sizes for one spec: one size, or one per requested churn step."""
+    """Sizes for one spec: one size, or one per requested churn step, where
+    step -1 is the base graph before the first step."""
     spec, k, steps = task
     if spec[0] != "churn":
         return [_kdbb_size(spec_edges(spec), k)]
@@ -80,8 +79,9 @@ def _reference_task(task: Tuple[Spec, int, Sequence[int]]) -> List[int]:
     churn = inputs.Churn(spec_edges(base), churn_seed)
     wanted = set(steps)
     sizes = []
-    for step in range(max(steps) + 1):
-        churn.step()
+    for step in range(-1, max(steps) + 1):
+        if step >= 0:
+            churn.step()
         if step in wanted:
             sizes.append(_kdbb_size(churn.edges, k))
     return sizes
@@ -95,53 +95,19 @@ def program_env() -> Dict[str, str]:
 
 
 def reference_sizes(tasks: Sequence[Tuple[Spec, int, Sequence[int]]], workers: int) -> List[List[int]]:
-    """Run the reference solver over ``tasks`` in ``workers`` processes.
-
-    Tasks are dealt back and forth (0, 1, 1, 0, 0, 1, ...), so a list that
-    alternates cheap and costly shapes still splits evenly.
-    """
-    if workers <= 1 or len(tasks) <= 1:
-        return [_reference_task(t) for t in tasks]
-    shares = [[i for i in range(len(tasks)) if (i + i // workers) % workers == w] for w in range(workers)]
-    procs = []
-    try:
-        for share in shares:
-            proc = subprocess.Popen(
-                [sys.executable, os.path.abspath(__file__)], env=program_env(),
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-            )
-            procs.append(proc)
-            proc.stdin.write(json.dumps([tasks[i] for i in share]))
-            proc.stdin.close()
-        out: List[List[int]] = [[] for _ in tasks]
-        for share, proc in zip(shares, procs):
-            sizes = json.loads(proc.stdout.read())
-            if proc.wait() != 0:
-                raise RuntimeError("reference worker failed")
-            for i, got in zip(share, sizes):
-                out[i] = got
-        return out
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait()
-            proc.stdout.close()
+    """Run the reference solver over ``tasks`` in ``workers`` spawned processes."""
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max(1, min(workers, len(tasks))), mp_context=context) as pool:
+        return list(pool.map(_reference_task, tasks))
 
 
 def churn_reference(base: Spec, churn_seed: int, k: int, steps: int, workers: int) -> Dict[int, int]:
-    """Reference size of every successor 0..steps-1 of a churn stream,
-    each solved from scratch; steps are dealt round-robin to workers."""
-    if steps == 0:
-        return {}
-    shares = [list(range(w, steps, workers)) for w in range(workers)]
-    shares = [s for s in shares if s]
-    tasks = [(("churn", base, churn_seed), k, s) for s in shares]
+    """Reference size of the base graph (step -1) and of every successor
+    0..steps-1 of a churn stream, each solved from scratch; steps are dealt
+    round-robin to workers, each of which replays the stream."""
+    shares = [list(range(w - 1, steps, workers)) for w in range(workers)]
+    tasks = [(("churn", base, churn_seed), k, share) for share in shares if share]
     sizes: Dict[int, int] = {}
-    for share, got in zip(shares, reference_sizes(tasks, len(tasks))):
+    for (_, _, share), got in zip(tasks, reference_sizes(tasks, len(tasks))):
         sizes.update(zip(share, got))
     return sizes
-
-
-if __name__ == "__main__":
-    json.dump([_reference_task(task) for task in json.load(sys.stdin)], sys.stdout)

@@ -12,8 +12,9 @@ Workloads (see ``BENCHMARK.json`` for why each exists):
   bitset paths; search-dominated.
 * ``service-mixed``: a ``repro serve`` process under an open-loop stream of
   small solves (some repeated, so the result cache answers them) while a
-  second connection adds and solves large sparse graphs; the small requests
-  that meet them are reported apart, as ``service.server.contended_ms_*``.
+  second connection adds and solves one large sparse graph; the small
+  requests that meet it are reported apart, as
+  ``service.server.contended_ms_*``.
 * ``delta-stream``: a durable ``repro serve --state-dir`` tracking one
   graph through a closed loop of small ``mutate`` + ``solve`` steps.
 
@@ -21,13 +22,18 @@ The self-test is ``python3 perfbench/selftest.py``.
 
 With ``--trace 0`` the last output line carries the end-to-end metrics:
 set-up time, median and tail latency of the workload's timed operation,
-and the peak RSS of the solving process.  With ``--trace 1`` the layers'
-entry points are wrapped (see ``tracing.py``) and the line carries the
-per-layer metrics: layer times and counts per timed operation, ratios,
-the ledger's shares and the load generator's own figures.  Every answer is
-checked against an independent reference; a wrong answer makes the run
-incorrect.  The lines before the last one are for people: provenance,
-every metric with its sample count, and, when traced, the ledger.
+and the peak RSS of the solving process.  ``--trace 1`` times the first
+operations untraced (the whole stream on service-mixed), then runs the
+workload over the same inputs with the layers' entry points wrapped (see
+``tracing.py``); the line carries the per-layer metrics of the traced pass,
+the cost of tracing and the load generator's own figures.
+Layer times and counts are totals over the timed window divided by the
+operations made in it: instances for the batch workloads, requests for
+service-mixed (the small solves and the large graph's two), steps for
+delta-stream.  Every answer is checked against an independent reference; a
+wrong answer makes the run incorrect.  The lines before the last one are
+for people: provenance, every metric with its sample count, and, when
+traced, the ledger.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import signal
 import statistics
 import subprocess
 import sys
+from typing import Optional
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
@@ -48,76 +55,11 @@ import tracing  # noqa: E402
 import workloads  # noqa: E402
 from workloads import percentile  # noqa: E402
 
-END_TO_END = (
-    ("setup_s", "s"),
-    ("latency_ms_p50", "ms"),
-    ("latency_ms_tail", "ms"),
-    ("peak_rss_mb", "MB"),
-)
-
-PER_LAYER = (
-    ("graphs.io.parse_s", "s"),
-    ("graphs.graph.digest_s", "s"),
-    ("graphs.graph.digest_calls", "count"),
-    ("graphs.graph.copy_s", "s"),
-    ("graphs.graph.copy_calls", "count"),
-    ("graphs.graph.relabel_s", "s"),
-    ("core.heuristics.degen_opt_s", "s"),
-    ("core.heuristics.lb_gap", "count"),
-    ("graphs.kcore.rr5_s", "s"),
-    ("graphs.truss.rr6_s", "s"),
-    ("core.reductions.removed_edges", "count"),
-    ("graphs.degeneracy.order_s", "s"),
-    ("graphs.degeneracy.order_calls", "count"),
-    ("core.prepared.prepare_s", "s"),
-    ("core.prepared.self_s", "s"),
-    ("core.prepared.working_n", "count"),
-    ("core.solver.self_s", "s"),
-    ("core.decompose.ego_build_s", "s"),
-    ("core.decompose.subproblems", "count"),
-    ("core.decompose.pruned_ratio", "ratio"),
-    ("core.decompose.improving_ratio", "ratio"),
-    ("core.fastpath.engine_s", "s"),
-    ("core.fastpath.nodes", "count"),
-    ("core.fastpath.nodes_per_s", "1/s"),
-    ("core.fastpath.bound_prune_ratio", "ratio"),
-    ("core.fastpath.recolor_full", "count"),
-    ("core.fastpath.trail_pushes", "count"),
-    ("service.server.overhead_ms_p50", "ms"),
-    ("service.server.add_graph_s", "s"),
-    ("service.server.big_answer_s", "s"),
-    ("service.server.contended_ms_p50", "ms"),
-    ("service.server.contended_ms_p95", "ms"),
-    ("service.server.contended_requests", "count"),
-    ("service.scheduler.queue_ms_p50", "ms"),
-    ("service.scheduler.queue_ms_p99", "ms"),
-    ("service.scheduler.cache_hit_ratio", "ratio"),
-    ("service.scheduler.coalesced", "count"),
-    ("service.scheduler.shed", "count"),
-    ("service.scheduler.deadline_expired", "count"),
-    ("service.store.add_s", "s"),
-    ("service.store.prepare_s", "s"),
-    ("service.store.prepares", "count"),
-    ("service.store.prepared_hits", "count"),
-    ("service.persistence.save_graph_s", "s"),
-    ("service.persistence.append_delta_s", "s"),
-    ("service.persistence.append_result_s", "s"),
-    ("service.persistence.state_bytes", "bytes"),
-    ("dynamic.delta.apply_s", "s"),
-    ("dynamic.delta.affected_s", "s"),
-    ("dynamic.incremental.apply_s", "s"),
-    ("dynamic.incremental.hit_ratio", "ratio"),
-    ("dynamic.incremental.resolved_fraction", "ratio"),
-    ("gen.lag_ms_p99", "ms"),
-    ("gen.offered_rps", "1/s"),
-    ("gen.completed_rps", "1/s"),
-    ("gen.behind", "count"),
-    ("ledger.prepare_share", "ratio"),
-    ("ledger.search_share", "ratio"),
-    ("trace.overhead_frac", "ratio"),
-    ("bench.samples", "count"),
-    ("bench.failed_frac", "ratio"),
-)
+# Metric names, units and bounds live in BENCHMARK.json at the repository root.
+with open(os.path.join(os.path.dirname(HERE), "BENCHMARK.json")) as _handle:
+    SPEC = json.load(_handle)
+TAIL_Q = 0.75  # every run has at least ten samples beyond it
+PROBE_OPS = 10  # untraced operations a traced run times to measure what tracing costs
 
 # Per-layer times from the ledger: self time unless marked inclusive.
 _SELF_TIMES = {
@@ -157,16 +99,17 @@ def end_to_end(run: workloads.Run) -> dict:
     return {
         "setup_s": statistics.median(run.setup_s),
         "latency_ms_p50": statistics.median(samples_ms),
-        "latency_ms_tail": percentile(samples_ms, run.tail_q),
+        "latency_ms_tail": percentile(samples_ms, TAIL_Q),
         "peak_rss_mb": run.peak_rss_mb,
     }
 
 
-def per_layer(run: workloads.Run) -> dict:
+def per_layer(run: workloads.Run, plain: workloads.Run) -> dict:
+    """Layer figures per timed operation of the traced ``run``; ``plain`` is
+    the untraced probe over the same inputs."""
     ledger = run.ledger
-    ops = max(len(run.samples), 1)
-    values = {name: 0.0 for name, _ in PER_LAYER}
-    values.update({k: v for k, v in run.info.items() if k in values})
+    ops = max(run.ops, 1)
+    values = dict(run.info)
     for metric, prefix in _SELF_TIMES.items():
         values[metric] = ledger.layer_self(prefix) / ops
     for metric, name in _INCLUSIVE_TIMES.items():
@@ -181,7 +124,13 @@ def per_layer(run: workloads.Run) -> dict:
     if ledger.root_s > 0:
         values["ledger.prepare_share"] = ledger.total_s.get("core.prepared.prepare", 0.0) / ledger.root_s
         values["ledger.search_share"] = ledger.share(tracing.SEARCH_LAYERS)
-        values["trace.overhead_frac"] = run.span_cost * len(ledger.spans) / ledger.root_s
+    # Both passes make the same operations in the same order; compare the
+    # medians over the samples both took.
+    both = min(len(run.samples), len(plain.samples))
+    if both:
+        values["trace.overhead_frac"] = (
+            statistics.median(run.samples[:both]) / statistics.median(plain.samples[:both]) - 1.0
+        )
     values["bench.samples"] = float(len(run.samples))
     values["bench.failed_frac"] = len(run.failures) / max(run.attempted, 1)
     return values
@@ -203,7 +152,7 @@ def provenance(args) -> str:
 def human_lines(run: workloads.Run, metrics: dict) -> list:
     n = len(run.samples)
     samples_ms = [v * 1000.0 for v in run.samples]
-    tail = f"p{round(run.tail_q * 100)}"
+    tail = f"p{round(TAIL_Q * 100)}"
     out = [
         f"setup_s {metrics['setup_s']:.4f} s (median of {len(run.setup_s)} set-ups)",
         f"latency_ms_p50 {metrics['latency_ms_p50']:.3f} ms (n={n})",
@@ -224,7 +173,7 @@ def human_lines(run: workloads.Run, metrics: dict) -> list:
         ],
         "delta-stream": [
             ("delta_ms_p50", metrics["latency_ms_p50"], "ms"),
-            ("delta_ms_p95", metrics["latency_ms_tail"], "ms"),
+            ("delta_ms_p75", metrics["latency_ms_tail"], "ms"),
         ],
     }[run.workload]
     out += [f"{name} {value:.4f} {unit}" for name, value, unit in named]
@@ -234,6 +183,12 @@ def human_lines(run: workloads.Run, metrics: dict) -> list:
     if run.info.get("gen.behind"):
         out.append("FLAG: the load generator fell behind its schedule; latencies understate the load")
     return out
+
+
+def execute(args, trace: bool, limit: Optional[int] = None) -> workloads.Run:
+    run = workloads.Run(args.workload, args.seed, args.seconds, trace, args.scale, limit)
+    workloads.WORKLOADS[args.workload](run)
+    return run
 
 
 def main(argv=None) -> int:
@@ -249,27 +204,30 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
 
     print(provenance(args), flush=True)
-    run = workloads.Run(args.workload, args.seed, args.seconds, bool(args.trace), args.scale)
-    workloads.WORKLOADS[args.workload](run)
-
     if args.trace:
-        values = per_layer(run)
-        units = dict(PER_LAYER)
+        runs = [execute(args, trace=False, limit=PROBE_OPS), execute(args, trace=True)]
+        run = runs[-1]
+        values = per_layer(run, runs[0])
+        wanted = SPEC["per_layer"]
+        unmeasured = [m["name"] for m in wanted if m["name"] not in values]
+        values.update((name, 0.0) for name in unmeasured)
         print("\n".join(run.ledger.lines()))
-        print("\n".join(f"{k} {v:.6g} {units[k]}" for k, v in values.items()))
-        out_units = PER_LAYER
+        print("\n".join(f"{m['name']} {values[m['name']]:.6g} {m['unit']}" for m in wanted))
+        print(f"not measured on {args.workload}: {' '.join(unmeasured) or '-'}")
     else:
+        runs = [execute(args, trace=False)]
+        run = runs[0]
         values = end_to_end(run)
+        wanted = SPEC["end_to_end"]
         print("\n".join(human_lines(run, values)))
-        out_units = END_TO_END
-    for what, why in list(run.failures.items())[:20]:
-        print(f"failure {what}: {why}")
-    failed = len(run.failures)
+    failures = [f"{what}: {why}" for r in runs for what, why in r.failures.items()]
+    for line in failures[:20]:
+        print(f"failure {line}")
     result = {
-        "correct": failed == 0,
-        "attempted": max(run.attempted, 1),
-        "failed": failed,
-        "metrics": {name: {"value": values[name], "unit": unit} for name, unit in out_units},
+        "correct": not failures,
+        "attempted": max(sum(r.attempted for r in runs), 1),
+        "failed": len(failures),
+        "metrics": {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in wanted},
     }
     print(json.dumps(result))
     return 0

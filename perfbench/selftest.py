@@ -2,7 +2,7 @@
 
 * A tiny-scale pass of every workload, untraced and traced, must emit every
   metric ``BENCHMARK.json`` names, with its unit, and judge every answer
-  correct.
+  correct; every per-layer metric must be measured on some workload.
 * The correctness gate must reject deliberately corrupted cliques.
 """
 
@@ -52,19 +52,26 @@ def check_workloads() -> None:
         0: {m["name"]: m["unit"] for m in spec["end_to_end"]},
         1: {m["name"]: m["unit"] for m in spec["per_layer"]},
     }
+    unmeasured = set(expected[1])
     for workload in (w["name"] for w in spec["workloads"]):
         for trace in (0, 1):
             argv = [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload,
                     "--seed", "1", "--seconds", "1", "--trace", str(trace), "--scale", "tiny"]
             out = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=180)
             assert out.returncode == 0, f"{workload} trace={trace}: {out.stderr[-2000:]}"
-            result = json.loads(out.stdout.strip().splitlines()[-1])
+            lines = out.stdout.strip().splitlines()
+            result = json.loads(lines[-1])
             assert set(result) == {"correct", "attempted", "failed", "metrics"}, result.keys()
             assert result["correct"] and result["failed"] == 0, (workload, trace, out.stdout[-2000:])
             emitted = {name: m["unit"] for name, m in result["metrics"].items()}
             assert emitted == expected[trace], (workload, trace, emitted)
+            if trace:
+                prefix = f"not measured on {workload}: "
+                missing = next(line for line in lines if line.startswith(prefix))[len(prefix):]
+                unmeasured &= set(missing.split())
             print(f"{workload} trace={trace}: {len(emitted)} metrics with units: ok")
-
+    assert not unmeasured, f"per-layer metrics no workload measures: {sorted(unmeasured)}"
+    print("every per-layer metric is measured on some workload: ok")
 
 if __name__ == "__main__":
     check_gate()

@@ -17,12 +17,10 @@ def main() -> int:
     spans_path = sys.argv[1]
     tracer = Tracer()
     tracer.install()
-    span_cost = tracer.span_cost()
     from repro.cli import main as repro_main
 
     code = repro_main(["serve", *sys.argv[2:]])
-    tracer.spans = list(tracer.spans)
-    tracer.dump(spans_path, span_cost=span_cost)
+    tracer.dump(spans_path)
     return code
 
 

@@ -128,34 +128,14 @@ class Tracer:
                     continue
                 setattr(target, attr, self.wrap(name, fn))
 
-    def span_cost(self, calls: int = 20000) -> float:
-        """Seconds one span adds to a call, measured on a no-op."""
-        def noop():
-            return None
-
-        traced = self.wrap("calibration", noop)
-        saved = len(self.spans)
-        start = time.perf_counter()
-        for _ in range(calls):
-            noop()
-        bare = time.perf_counter() - start
-        start = time.perf_counter()
-        for _ in range(calls):
-            traced()
-        wrapped = time.perf_counter() - start
-        del self.spans[saved:]
-        return max(wrapped - bare, 0.0) / calls
-
-    def dump(self, path: str, **extra) -> None:
+    def dump(self, path: str) -> None:
         with open(path, "w") as handle:
-            json.dump({"spans": self.spans, **extra}, handle)
+            json.dump(self.spans, handle)
 
 
-def load(path: str) -> Tuple[List[Span], Dict]:
+def load(path: str) -> List[Span]:
     with open(path) as handle:
-        data = json.load(handle)
-    spans = [tuple(s) for s in data.pop("spans")]
-    return spans, data
+        return [tuple(s) for s in json.load(handle)]
 
 
 # ---------------------------------------------------------------------- #
@@ -181,9 +161,16 @@ def self_times(spans: Sequence[Span]) -> Dict[int, float]:
 
 
 class Ledger:
-    """Totals over one run's spans, keyed by span name or name prefix."""
+    """Totals over one run's spans, keyed by span name or name prefix.
 
-    def __init__(self, spans: Sequence[Span], root: str) -> None:
+    With a ``(start, end)`` window, only spans that started inside it count,
+    so set-up work and the final ``stats`` request stay out.
+    """
+
+    def __init__(self, spans: Sequence[Span], root: str,
+                 window: Optional[Tuple[float, float]] = None) -> None:
+        if window is not None:
+            spans = [s for s in spans if window[0] <= s[2] <= window[1]]
         self.spans = spans
         own = self_times(spans)
         self.self_s: Dict[str, float] = {}

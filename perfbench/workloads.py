@@ -3,6 +3,7 @@ when traced, a span ledger; ``run.py`` turns that into metrics."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -23,18 +24,16 @@ import tracing
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORK = ".perfbench_work"
 
-# Shapes at full scale and at the self-test's tiny scale.
+# Shapes at full scale and at the self-test's tiny scale.  service-mixed's
+# large graph has the "sparse" shape.
 SCALES = {
     "full": {
         "sparse": ("powerlaw", 1500, 10, 0.3),
         "dense": [("gnp", 140, 0.2), ("gnp", 74, 0.35)],
         "batch_min": 40,
-        "small_n": (24, 40),
-        "rate": 25.0,
-        "big": ("powerlaw", 2000, 10, 0.3),
-        "big_count": 2,
-        "tracked": ("powerlaw", 400, 8, 0.3),
-        "delta_steps": 200,
+        "small_n": (40, 60),
+        "rate": 10.0,
+        "tracked": ("powerlaw", 2000, 8, 0.3),
         "setups": 3,
     },
     "tiny": {
@@ -43,17 +42,21 @@ SCALES = {
         "batch_min": 4,
         "small_n": (12, 16),
         "rate": 40.0,
-        "big": ("powerlaw", 300, 4, 0.3),
-        "big_count": 1,
         "tracked": ("powerlaw", 150, 4, 0.3),
-        "delta_steps": 5,
         "setups": 2,
     },
 }
 REPEAT_FRACTION = 0.1   # share of service-mixed requests that repeat an earlier query
-# k of the fresh service-mixed requests.  Most are k=2, so the median and
-# p75 fall inside one class instead of on the edge between two.
-K_WEIGHTS = {1: 0.2, 2: 0.6, 3: 0.2}
+# k of the fresh service-mixed requests.  At k=2 and k=3 a few G(55-60, .3)
+# instances take 5-10 times the median solve.  With k=2 and k=3 on 70-80% of
+# the requests they reached down to the p75, whose spread over five seeds
+# was 0.24-0.45 of its median; kept to a quarter, they stay above it.
+K_WEIGHTS = {1: 0.75, 2: 0.2, 3: 0.05}
+# delta-stream takes a fixed number of steps per second of --seconds, not a
+# time window: the service keeps every successor, so its memory grows with
+# the steps taken, and a faster commit must not pay for its speed in
+# peak_rss_mb.
+DELTA_STEPS_PER_S = 4
 MEASURE_CAP_S = 120.0   # a run stops measuring after this long whatever its sample count
 REPLY_TIMEOUT_S = 60.0
 
@@ -61,22 +64,25 @@ REPLY_TIMEOUT_S = 60.0
 class Run:
     """What one run measured."""
 
-    def __init__(self, workload: str, seed: int, seconds: float, trace: bool, scale: str) -> None:
+    def __init__(self, workload: str, seed: int, seconds: float, trace: bool, scale: str,
+                 limit: Optional[int] = None) -> None:
         self.workload = workload
         self.seconds = seconds
         self.trace = trace
+        # At most this many timed operations, for the workloads that make
+        # them one after another; service-mixed keeps its schedule.
+        self.limit = limit
         self.shape = SCALES[scale]
         self.rng = random.Random(seed)
         self.workers = max(1, min(2, os.cpu_count() or 1))
         self.setup_s: List[float] = []
         self.samples: List[float] = []      # seconds per timed operation
-        self.tail_q = 0.75
+        self.ops = 0                        # operations made in the timed window
         self.peak_rss_mb = 0.0
         self.attempted = 0
         self.failures: Dict[str, str] = {}  # what failed -> why
         self.info: Dict[str, float] = {}    # reply- and counter-derived per-layer values
         self.ledger: Optional[tracing.Ledger] = None
-        self.span_cost = 0.0
         self.workdir = os.path.join(WORK, workload)
 
     def subseed(self) -> int:
@@ -93,7 +99,7 @@ class Run:
 
     def measuring(self, start: float, count: int, minimum: int) -> bool:
         elapsed = time.perf_counter() - start
-        if elapsed >= MEASURE_CAP_S:
+        if elapsed >= MEASURE_CAP_S or (self.limit is not None and count >= self.limit):
             return False
         return elapsed < self.seconds or count < minimum
 
@@ -106,6 +112,46 @@ def import_seconds() -> float:
         timeout=60, check=True,
     )
     return float(out.stdout.strip())
+
+
+# Run by the children of busy_cpus(): spin at the lowest scheduling
+# priority until the parent exits or the time cap passes.
+_SPIN = """
+import os, sys, time
+try:
+    os.sched_setscheduler(0, os.SCHED_IDLE, os.sched_param(0))
+except OSError:
+    os.nice(19)
+parent, end = os.getppid(), time.monotonic() + float(sys.argv[1])
+while os.getppid() == parent and time.monotonic() < end:
+    for _ in range(100000):
+        pass
+"""
+
+
+@contextlib.contextmanager
+def busy_cpus():
+    """Keep every CPU busy with lowest-priority spinners while the body runs.
+
+    A service request wakes idle CPUs several times on its way through the
+    load generator and the server.  On a virtual machine an idle CPU goes
+    back to the host, and waking it waits on the host's other tenants: on
+    one seed of service-mixed, the median small-solve latency ranged over
+    13.9-22.5 ms in three runs without spinners and 14.4-15.9 ms in three
+    runs with them.  A SCHED_IDLE spinner takes no time from the
+    benchmark's own processes, which preempt it when they wake.
+    """
+    spinners = [
+        subprocess.Popen([sys.executable, "-c", _SPIN, str(3 * MEASURE_CAP_S)])
+        for _ in os.sched_getaffinity(0)
+    ]
+    try:
+        yield
+    finally:
+        for proc in spinners:
+            proc.kill()
+        for proc in spinners:
+            proc.wait()
 
 
 def _own_peak_rss_mb() -> float:
@@ -128,7 +174,6 @@ def batch(run: Run, shapes: Sequence[Tuple], k: int) -> None:
     if run.trace:
         tracer = tracing.Tracer()
         tracer.install()
-        run.span_cost = tracer.span_cost()
     os.makedirs(run.workdir, exist_ok=True)
 
     def solve_file(path: str):
@@ -156,21 +201,22 @@ def batch(run: Run, shapes: Sequence[Tuple], k: int) -> None:
         run.judge(f"instance {len(specs) - 1}", reason)
         sizes.append(result.size)
     run.peak_rss_mb = _own_peak_rss_mb()
+    run.ops = len(run.samples)
+    if tracer is not None:
+        tracer.dump(os.path.join(run.workdir, "spans.json"))
+        run.ledger = tracing.Ledger(tracer.spans, root="bench.instance")
 
     refs = gate.reference_sizes([(spec, k, ()) for spec in specs], run.workers)
     for i, (ref, got) in enumerate(zip(refs, sizes)):
         if got != ref[0]:
             run.fail(f"instance {i}", f"size {got} differs from reference {ref[0]}")
-
-    if tracer is not None:
-        tracer.dump(os.path.join(run.workdir, "spans.json"), span_cost=run.span_cost)
-        run.ledger = tracing.Ledger(tracer.spans, root="bench.instance")
     _search_counters(run, stats)
 
 
 def _search_counters(run: Run, stats: Sequence[Dict]) -> None:
-    """Per-operation search counters from solver statistics (``as_dict`` form plus ``size``)."""
-    ops = max(len(run.samples), 1)
+    """Search counters per timed operation from the solver statistics of
+    every solve in the window (``as_dict`` form plus ``size``)."""
+    ops = max(run.ops, 1)
 
     def total(field: str) -> float:
         return float(sum(s.get(field) or 0 for s in stats))
@@ -342,24 +388,31 @@ def _setups(run: Run, extra: Sequence[str], prepare) -> Tuple[Server, Connection
     return server, conn, state
 
 
-def _finish_service(run: Run, server: Server, conn: Connection) -> Dict:
-    counters = conn.call({"op": "stats"})["stats"]
+def _counters(conn: Connection) -> Dict[str, float]:
+    return conn.call({"op": "stats"})["stats"]
+
+
+def _finish_service(run: Run, server: Server, conn: Connection, window: Tuple[float, float],
+                    before: Dict[str, float]) -> Dict[str, float]:
+    """Stop the service and return its counters' growth since ``before``;
+    when traced, keep the spans that started inside ``window`` (both
+    processes read CLOCK_MONOTONIC)."""
+    after = _counters(conn)
     run.peak_rss_mb = server.peak_rss_mb()
     server.shutdown(conn)
     if run.trace:
-        spans, extra = tracing.load(server.spans_path)
-        run.span_cost = extra["span_cost"]
-        run.ledger = tracing.Ledger(spans, root="service.server.request")
-    return counters
+        run.ledger = tracing.Ledger(tracing.load(server.spans_path), root="service.server.request",
+                                    window=window)
+    return {key: value - before.get(key, 0) for key, value in after.items()}
 
 
 def service_mixed(run: Run) -> None:
     shape = run.shape
     rate = shape["rate"]
     total = max(1, int(rate * run.seconds))
-    pool_size = math.ceil(0.75 * total)  # fresh (graph, k) pairs to spare for the k=2 share
     lo, hi = shape["small_n"]
-    pool = [("gnp", run.rng.randint(lo, hi), 0.3, run.subseed()) for _ in range(pool_size)]
+    # One graph per request, so every k can draw fresh (graph, k) pairs.
+    pool = [("gnp", run.rng.randint(lo, hi), 0.3, run.subseed()) for _ in range(total)]
     pool_edges = [gate.spec_edges(spec) for spec in pool]
 
     pool_lines = [add_graph_line(edges) for edges in pool_edges]
@@ -367,15 +420,16 @@ def service_mixed(run: Run) -> None:
     def register(conn: Connection) -> List[str]:
         return [_add_graph(conn, line) for line in pool_lines]
 
-    server, conn, digests = _setups(run, (), register)
-    try:
-        _mixed_traffic(run, server, conn, pool, pool_edges, digests, rate, total)
-    finally:
-        server.kill()
+    with busy_cpus():
+        server, conn, digests = _setups(run, (), register)
+        try:
+            _mixed_traffic(run, server, conn, pool, pool_edges, digests, rate, total)
+        finally:
+            server.kill()
 
 
 def _mixed_traffic(run, server, conn, pool, pool_edges, digests, rate, total) -> None:
-    shape = run.shape
+    before = _counters(conn)
     unused = {k: iter(run.rng.sample(range(len(pool)), len(pool))) for k in K_WEIGHTS}
     plan: List[Tuple[int, int]] = []
     lag_requests = int(rate)  # a repeat targets a query sent at least a second earlier
@@ -385,17 +439,16 @@ def _mixed_traffic(run, server, conn, pool, pool_edges, digests, rate, total) ->
         else:
             k = run.rng.choices(list(K_WEIGHTS), weights=list(K_WEIGHTS.values()))[0]
             plan.append((next(unused[k]), k))
-    big_specs = [shape["big"] + (run.subseed(),) for _ in range(shape["big_count"])]
-    big_edges = [gate.spec_edges(spec) for spec in big_specs]
+    big_spec = run.shape["sparse"] + (run.subseed(),)
+    big_edges = gate.spec_edges(big_spec)
     # Encode every payload up front: the load generator must not hold its
     # own interpreter lock serialising a request while another is due.
-    big_lines = [add_graph_line(edges) for edges in big_edges]
+    big_line = add_graph_line(big_edges)
     solve_lines = [encode({"op": "solve", "digest": digests[g], "k": k}) for g, k in plan]
 
     sent = [0.0] * total
     received: List[Tuple[float, Dict]] = []
-    big: List[Tuple[float, Dict, float]] = []  # seconds, reply, add-graph seconds
-    busy: List[Tuple[float, float]] = []  # when connection B had a large graph in flight
+    big: Dict[str, object] = {}  # connection B's times and its solve reply
     t0 = time.perf_counter() + 0.05
     due = [t0 + j / rate for j in range(total)]
 
@@ -413,19 +466,17 @@ def _mixed_traffic(run, server, conn, pool, pool_edges, digests, rate, total) ->
             received.append((time.perf_counter(), reply))
 
     def heavy():
-        # A fixed amount of large-graph work, back to back from a quarter
-        # of the way into the stream: a faster prepare shortens the stretch
-        # in which small requests contend with it.
+        # One large graph from a quarter of the way into the stream: a
+        # faster prepare shortens the stretch in which small requests
+        # contend with it.
         other = server.connect()
         try:
             time.sleep(max(0.0, t0 + run.seconds / 4 - time.perf_counter()))
-            for line in big_lines:
-                began = time.perf_counter()
-                digest = _add_graph(other, line)
-                add_s = time.perf_counter() - began
-                reply = other.call({"op": "solve", "digest": digest, "k": 3})
-                busy.append((began, time.perf_counter()))
-                big.append((busy[-1][1] - began, reply, add_s))
+            began = time.perf_counter()
+            digest = _add_graph(other, big_line)
+            added = time.perf_counter()
+            reply = other.call({"op": "solve", "digest": digest, "k": 3})
+            big.update(began=began, added=added, answered=time.perf_counter(), reply=reply)
         finally:
             other.close()
 
@@ -436,22 +487,24 @@ def _mixed_traffic(run, server, conn, pool, pool_edges, digests, rate, total) ->
         t.join(timeout=run.seconds + MEASURE_CAP_S)
     if any(t.is_alive() for t in threads):
         raise RuntimeError("service-mixed traffic did not finish")
-    counters = _finish_service(run, server, conn)
+    finished = max([at for at, _ in received] + [big.get("answered", t0)])
+    run.ops = total + 2  # the small solves plus the large graph's add-graph and solve
+    counters = _finish_service(run, server, conn, (t0, finished), before)
 
-    # Correctness: every distinct query and every big graph against KDBB.
+    # Correctness: every distinct query and the large graph against KDBB.
     queried = sorted(set(plan))
-    tasks = [(pool[g], k, ()) for g, k in queried] + [(spec, 3, ()) for spec in big_specs]
-    refs = gate.reference_sizes(tasks, run.workers)
+    refs = gate.reference_sizes([(pool[g], k, ()) for g, k in queried] + [(big_spec, 3, ())], run.workers)
     reference = {q: r[0] for q, r in zip(queried, refs)}
     adjs: Dict[int, Dict] = {}
     # A small request is contended when it was in flight while connection B
-    # had a large graph in flight, or when it queued behind one that was.
+    # had the large graph in flight, or when it queued behind one that was.
+    busy_from, busy_to = (big["began"], big["answered"]) if big else (math.inf, math.inf)
     latencies, contended, queue_ms, overhead_ms, stats = [], [], [], [], []
     contended_until = 0.0
     for j, ((at, reply), (g, k)) in enumerate(zip(received, plan)):
         adj = adjs.setdefault(g, inputs.adjacency(pool_edges[g]))
         _judge_reply(run, f"request {j}", reply, adj, k, reference[(g, k)])
-        if due[j] < contended_until or any(start < at and due[j] < end for start, end in busy):
+        if due[j] < contended_until or (busy_from < at and due[j] < busy_to):
             contended.append((at - due[j]) * 1000.0)
             contended_until = at
         else:
@@ -461,22 +514,21 @@ def _mixed_traffic(run, server, conn, pool, pool_edges, digests, rate, total) ->
             stats.append(dict(st, size=reply["size"]))
             queue_ms.append(st["queue_ms"])
             overhead_ms.append((at - sent[j]) * 1000.0 - st["queue_ms"] - st["prepare_ms"] - st["solve_ms"])
-    for b, (_, reply, _) in enumerate(big):
-        _judge_reply(run, f"big graph {b}", reply, inputs.adjacency(big_edges[b]), 3, refs[len(queried) + b][0])
-    for b in range(len(big), len(big_edges)):
-        run.judge(f"big graph {b}", "no reply")
+    if big:
+        _judge_reply(run, "large graph", big["reply"], inputs.adjacency(big_edges), 3, refs[-1][0])
+        if big["reply"].get("ok"):
+            stats.append(dict(big["reply"]["stats"], size=big["reply"]["size"]))
+    else:
+        run.judge("large graph", "no reply")
     for j in range(len(received), total):
         run.judge(f"request {j}", "no reply")
     run.samples = latencies
-    # p75, not the p90 the sample count allows: under a loaded server the
-    # upper tail moved by more than a third from run to run on one seed.
-    run.tail_q = 0.75
     lag_ms = [(s - d) * 1000.0 for s, d in zip(sent, due)]
-    window = max(due[-1] - t0 + 1.0 / rate, 1e-9)
-    finished = max(at for at, _ in received) - t0 if received else window
+    offered_s = max(due[-1] - t0 + 1.0 / rate, 1e-9)
+    completed_s = max(at for at, _ in received) - t0 if received else offered_s
     run.info.update({
-        "service.server.big_answer_s": statistics.median([b[0] for b in big]) if big else 0.0,
-        "service.server.add_graph_s": statistics.median([b[2] for b in big]) if big else 0.0,
+        "service.server.big_answer_s": big["answered"] - big["began"] if big else 0.0,
+        "service.server.add_graph_s": big["added"] - big["began"] if big else 0.0,
         "service.server.overhead_ms_p50": tracing.median_or_zero(overhead_ms),
         "service.server.contended_ms_p50": tracing.median_or_zero(contended),
         "service.server.contended_ms_p95": percentile(contended, 0.95) if contended else 0.0,
@@ -484,8 +536,8 @@ def _mixed_traffic(run, server, conn, pool, pool_edges, digests, rate, total) ->
         "service.scheduler.queue_ms_p50": tracing.median_or_zero(queue_ms),
         "service.scheduler.queue_ms_p99": percentile(queue_ms, 0.99) if queue_ms else 0.0,
         "gen.lag_ms_p99": percentile(lag_ms, 0.99),
-        "gen.offered_rps": total / window,
-        "gen.completed_rps": len(received) / max(finished, 1e-9),
+        "gen.offered_rps": total / offered_s,
+        "gen.completed_rps": len(received) / max(completed_s, 1e-9),
     })
     run.info["gen.behind"] = float(run.info["gen.lag_ms_p99"] > 0.5 * 1000.0 / rate)
     _service_counters(run, counters)
@@ -493,14 +545,16 @@ def _mixed_traffic(run, server, conn, pool, pool_edges, digests, rate, total) ->
 
 
 def _service_counters(run: Run, counters: Dict, mutated_solves: int = 0) -> None:
+    """Per-layer figures from the service's counters over the timed window."""
+    ops = max(run.ops, 1)
     requests = max(counters.get("requests", 0), 1)
     run.info.update({
         "service.scheduler.cache_hit_ratio": counters.get("cache_hits", 0) / requests,
-        "service.scheduler.coalesced": float(counters.get("coalesced", 0)),
-        "service.scheduler.shed": float(counters.get("shed", 0)),
-        "service.scheduler.deadline_expired": float(counters.get("deadline_expired", 0)),
-        "service.store.prepares": float(counters.get("prepares", 0)),
-        "service.store.prepared_hits": float(counters.get("prepared_hits", 0)),
+        "service.scheduler.coalesced": counters.get("coalesced", 0) / ops,
+        "service.scheduler.shed": counters.get("shed", 0) / ops,
+        "service.scheduler.deadline_expired": counters.get("deadline_expired", 0) / ops,
+        "service.store.prepares": counters.get("prepares", 0) / ops,
+        "service.store.prepared_hits": counters.get("prepared_hits", 0) / ops,
     })
     reused = counters.get("anchors_reused", 0)
     resolved = counters.get("anchors_resolved", 0)
@@ -521,43 +575,43 @@ def delta_stream(run: Run, k: int = 2) -> None:
         digest = _add_graph(conn, add_graph_line(base_edges, name="tracked"))
         return digest, conn.call({"op": "solve", "digest": digest, "k": k})
 
-    server, conn, (digest, first) = _setups(run, ["--state-dir", state_dir], seed_epoch)
-    try:
-        churn = inputs.Churn(base_edges, churn_seed)
-        replies = []
-        # A fixed number of steps, not a time window: the service keeps every
-        # successor, so its memory grows with the steps taken, and a faster
-        # commit must not pay for its speed in peak_rss_mb.
-        for _ in range(run.shape["delta_steps"]):
-            adds, removes = churn.step()
-            began = time.perf_counter()
-            mutated = conn.call({"op": "mutate", "graph": digest, "adds": adds, "removes": removes})
-            if not mutated.get("ok"):
-                raise RuntimeError(f"mutate failed: {mutated}")
-            digest = mutated["digest"]
-            reply = conn.call({"op": "solve", "digest": digest, "k": k})
-            run.samples.append(time.perf_counter() - began)
-            ok = reply.get("ok")
-            if ok:
-                reason = gate.check_answer(churn.adj, reply["clique"], k, reply["optimal"], reply["size"])
-            else:
-                reason = f"{reply.get('kind')}: {reply.get('error')}"
-            run.judge(f"step {len(replies)}", reason)
-            replies.append(reply)
-        counters = _finish_service(run, server, conn)
-    finally:
-        server.kill()
+    with busy_cpus():
+        server, conn, (digest, first) = _setups(run, ["--state-dir", state_dir], seed_epoch)
+        try:
+            before = _counters(conn)
+            churn = inputs.Churn(base_edges, churn_seed)
+            replies = []
+            steps = max(1, round(run.seconds * DELTA_STEPS_PER_S))
+            started = time.perf_counter()
+            for _ in range(steps if run.limit is None else min(steps, run.limit)):
+                adds, removes = churn.step()
+                began = time.perf_counter()
+                mutated = conn.call({"op": "mutate", "graph": digest, "adds": adds, "removes": removes})
+                if not mutated.get("ok"):
+                    raise RuntimeError(f"mutate failed: {mutated}")
+                digest = mutated["digest"]
+                reply = conn.call({"op": "solve", "digest": digest, "k": k})
+                run.samples.append(time.perf_counter() - began)
+                ok = reply.get("ok")
+                if ok:
+                    reason = gate.check_answer(churn.adj, reply["clique"], k, reply["optimal"], reply["size"])
+                else:
+                    reason = f"{reply.get('kind')}: {reply.get('error')}"
+                run.judge(f"step {len(replies)}", reason)
+                replies.append(reply)
+            run.ops = len(replies)
+            counters = _finish_service(run, server, conn, (started, time.perf_counter()), before)
+        finally:
+            server.kill()
     state_bytes = sum(
         os.path.getsize(os.path.join(d, f)) for d, _, files in os.walk(state_dir) for f in files
     )
 
     refs = gate.churn_reference(base, churn_seed, k, len(replies), run.workers)
-    base_ref = gate.reference_sizes([(base, k, ())], 1)[0][0]
-    _judge_reply(run, "first solve", first, inputs.adjacency(base_edges), k, base_ref)
+    _judge_reply(run, "first solve", first, inputs.adjacency(base_edges), k, refs[-1])
     for i, reply in enumerate(replies):
         if reply.get("ok") and reply["size"] != refs[i]:
             run.fail(f"step {i}", f"size {reply['size']} differs from reference {refs[i]}")
-    run.tail_q = 0.95
     _service_counters(run, counters, mutated_solves=len(replies))
     run.info["service.persistence.state_bytes"] = float(state_bytes)
     stats = [dict(r["stats"], size=r["size"]) for r in replies if r.get("ok")]
