@@ -4,6 +4,12 @@ Usage (from the repository root)::
 
     python3 perfbench/run.py --workload sparse-cold --seed 1 --seconds 12 --trace 0
 
+and every workload for one seed::
+
+    for w in sparse-cold dense-search service-mixed delta-stream; do
+        python3 perfbench/run.py --workload $w --seed 1 --seconds 12 --trace 0
+    done
+
 Workloads (see ``BENCHMARK.json`` for why each exists):
 
 * ``sparse-cold``: power-law cluster graphs solved from an edge-list file
