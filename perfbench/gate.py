@@ -14,6 +14,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
+from multiprocessing import resource_tracker
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import inputs
@@ -97,8 +98,14 @@ def program_env() -> Dict[str, str]:
 def reference_sizes(tasks: Sequence[Tuple[Spec, int, Sequence[int]]], workers: int) -> List[List[int]]:
     """Run the reference solver over ``tasks`` in ``workers`` spawned processes."""
     context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max(1, min(workers, len(tasks))), mp_context=context) as pool:
-        return list(pool.map(_reference_task, tasks))
+    try:
+        with ProcessPoolExecutor(max(1, min(workers, len(tasks))), mp_context=context) as pool:
+            return list(pool.map(_reference_task, tasks))
+    finally:
+        # The pool's queues start multiprocessing's resource-tracker process,
+        # which nobody waits for: it would outlive the benchmark by a moment.
+        # The workers have exited here, so closing its pipe ends it.
+        resource_tracker._resource_tracker._stop()
 
 
 def churn_reference(base: Spec, churn_seed: int, k: int, steps: int, workers: int) -> Dict[int, int]:
