@@ -3,9 +3,9 @@ whose size equals an independent reference.
 
 The reference is the KDBB baseline (``repro.baselines.KDBBSolver``), a
 separate exact algorithm with its own heuristic, bounds and branching.  It
-runs in freshly spawned worker processes after the timed window, on inputs
-rebuilt from their seeded specs, so it never shares a graph object, or the
-traced run's wrappers, with the program.
+runs in freshly spawned worker processes on a copy of the input's edge list,
+so it never shares a graph object, or the traced run's wrappers, with the
+program, and never while a timed operation runs.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ import inputs
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# A spec rebuilds one input graph: ("gnp", n, p, seed),
-# ("powerlaw", n, m, p, seed), or ("churn", base_spec, churn_seed) whose
-# steps replay a delta stream over base_spec.
+# A spec rebuilds one input graph: ("gnp", n, p, seed) or ("powerlaw", n, m, p, seed).
 Spec = Tuple
 
 
@@ -70,24 +68,6 @@ def _kdbb_size(edges: Iterable[inputs.Edge], k: int) -> int:
     return result.size
 
 
-def _reference_task(task: Tuple[Spec, int, Sequence[int]]) -> List[int]:
-    """Sizes for one spec: one size, or one per requested churn step, where
-    step -1 is the base graph before the first step."""
-    spec, k, steps = task
-    if spec[0] != "churn":
-        return [_kdbb_size(spec_edges(spec), k)]
-    _, base, churn_seed = spec
-    churn = inputs.Churn(spec_edges(base), churn_seed)
-    wanted = set(steps)
-    sizes = []
-    for step in range(-1, max(steps) + 1):
-        if step >= 0:
-            churn.step()
-        if step in wanted:
-            sizes.append(_kdbb_size(churn.edges, k))
-    return sizes
-
-
 def program_env() -> Dict[str, str]:
     """The environment for a child process that imports the program from ``src/``."""
     env = dict(os.environ)
@@ -95,26 +75,31 @@ def program_env() -> Dict[str, str]:
     return env
 
 
-def reference_sizes(tasks: Sequence[Tuple[Spec, int, Sequence[int]]], workers: int) -> List[List[int]]:
-    """Run the reference solver over ``tasks`` in ``workers`` spawned processes."""
-    context = multiprocessing.get_context("spawn")
-    try:
-        with ProcessPoolExecutor(max(1, min(workers, len(tasks))), mp_context=context) as pool:
-            return list(pool.map(_reference_task, tasks))
-    finally:
+class Reference:
+    """Reference sizes from ``workers`` spawned processes.
+
+    Every call blocks until its sizes are in, so a workload that asks
+    between two timed operations never has the reference running during one.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self._pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+
+    def size(self, edges: Sequence[inputs.Edge], k: int) -> int:
+        return self._pool.submit(_kdbb_size, edges, k).result()
+
+    def sizes(self, tasks: Sequence[Tuple[Sequence[inputs.Edge], int]]) -> List[int]:
+        return list(self._pool.map(_kdbb_size, *zip(*tasks)))
+
+    def close(self) -> None:
+        self._pool.shutdown()
         # The pool's queues start multiprocessing's resource-tracker process,
         # which nobody waits for: it would outlive the benchmark by a moment.
         # The workers have exited here, so closing its pipe ends it.
         resource_tracker._resource_tracker._stop()
 
+    def __enter__(self) -> "Reference":
+        return self
 
-def churn_reference(base: Spec, churn_seed: int, k: int, steps: int, workers: int) -> Dict[int, int]:
-    """Reference size of the base graph (step -1) and of every successor
-    0..steps-1 of a churn stream, each solved from scratch; steps are dealt
-    round-robin to workers, each of which replays the stream."""
-    shares = [list(range(w - 1, steps, workers)) for w in range(workers)]
-    tasks = [(("churn", base, churn_seed), k, share) for share in shares if share]
-    sizes: Dict[int, int] = {}
-    for (_, _, share), got in zip(tasks, reference_sizes(tasks, len(tasks))):
-        sizes.update(zip(share, got))
-    return sizes
+    def __exit__(self, *exc) -> None:
+        self.close()
