@@ -14,7 +14,7 @@ Every benchmark entry point registers its measurements with a
 session — the conftest fixture for pytest runs, an ``atexit`` hook for
 ``python benchmarks/bench_*.py`` runs — each recorder is flushed to
 ``BENCH_<name>.json`` so the perf trajectory (instances, wall-clock, nodes,
-backend/engine/workers) is tracked across PRs.  ``REPRO_BENCH_JSON_DIR``
+backend/workers) is tracked across PRs.  ``REPRO_BENCH_JSON_DIR``
 selects the output directory (default: the current working directory); CI
 uploads the files as artifacts.
 
@@ -77,7 +77,6 @@ class BenchRecorder:
             optimal=result.optimal,
             nodes=stats.nodes,
             backend=stats.backend,
-            engine=stats.engine,
             workers=stats.workers,
             **fields,
         )

@@ -1,26 +1,14 @@
-"""Set-vs-bitset backend and copy-vs-trail engine comparisons.
+"""Set-vs-bitset backend comparison.
 
 Companion to ``bench_solver_micro.py``: the same solver is timed once with
 the dict/set :class:`SearchState` backend and once with the bitset fast path
 (packed adjacency bitmaps plus the degeneracy decomposition), so the
 ``BENCH_backend_compare.json`` perf trajectory captures the backend speedup
-from the PR that introduced the bitset core onward.  A second report times
-the bitset backend's two engines — ``copy`` (copy-per-child baseline) and
-``trail`` (undo-stack engine with worklist reductions and repairable
-coloring bounds) — and records the node-throughput column.
+from the PR that introduced the bitset core onward.
 
-Observed numbers on this class (1-CPU dev box):
-
-* set vs bitset: ~5-7x on G(n, p) with n >= 200, ~2-3x on the denser
-  facebook-like instances where reductions shrink states quickly;
-* copy vs trail: ~1.0-1.2x node throughput on the decomposed instances
-  (ego subproblems are small and dense, so per-child copies are C-cheap),
-  rising to ~1.3-1.7x on whole-graph searches where per-node sweeps scale
-  with n — the regime the trail engine exists for.  The ISSUE-3 target of
-  >= 2x was not reached: the dominant per-node costs (the RR3/RR4 global
-  sweeps and the UB evaluations) are algorithmic and shared by both
-  engines, and the shared-rule optimizations that landed with the trail
-  engine sped the copy baseline up as well.
+Observed on this class (1-CPU dev box): ~5-7x on G(n, p) with n >= 200,
+~2-3x on the denser facebook-like instances where reductions shrink states
+quickly.
 """
 
 from __future__ import annotations
@@ -34,10 +22,6 @@ from repro.graphs import gnp_random_graph
 from _bench_utils import bench_recorder
 
 _RECORDER = bench_recorder("backend_compare")
-#: Separate recorder (and JSON file) for the engine column: CI runs the two
-#: reports as separate pytest sessions, and a shared file would be
-#: overwritten by whichever session flushes last.
-_ENGINE_RECORDER = bench_recorder("engine_compare")
 
 
 def _socfb_graph():
@@ -53,24 +37,8 @@ _CASES = (
     ("socfb_like", _socfb_graph, 3),
 )
 
-#: Engine-isolation case: a whole-graph search (decomposition disabled) on a
-#: sparse n >= 200 G(n, p) instance, where the copy engine's per-node cost
-#: scales with n while the trail engine pays only for what changed.
-_WHOLE_GRAPH_CASE = ("gnp_800_005_whole", lambda: gnp_random_graph(800, 0.05, seed=7), 3)
-
-#: Minimum trail-vs-copy node-throughput ratio asserted on the whole-graph
-#: engine-isolation case (the measured ~1.3-1.5x minus timing-noise headroom).
-MIN_TRAIL_SPEEDUP_WHOLE_GRAPH = 1.1
-
-
-def _solve(graph, k, backend, engine=None, time_limit=120.0, whole_graph=False):
-    kwargs = {"backend": backend, "time_limit": time_limit}
-    if engine is not None:
-        kwargs["engine"] = engine
-    if whole_graph:
-        kwargs["decompose_threshold"] = 10**9
-    config = SolverConfig(**kwargs)
-    return KDCSolver(config).solve(graph, k)
+def _solve(graph, k, backend, time_limit=120.0):
+    return KDCSolver(SolverConfig(backend=backend, time_limit=time_limit)).solve(graph, k)
 
 
 def test_bench_set_backend_gnp200(benchmark):
@@ -126,51 +94,3 @@ def test_backend_speedup_report(capsys):
     # benchmark stays robust on slow or noisy machines.
     assert max(speedups) >= 3.0
 
-
-def test_engine_compare_report(capsys):
-    """Copy-vs-trail node-throughput column over the n >= 200 instances.
-
-    Both engines are exact and must agree on every optimum; the trail engine
-    must not fall behind the copy engine's node throughput on the decomposed
-    instances, and must beat it on the whole-graph engine-isolation case.
-    """
-    rows = []
-    for (name, factory, k), whole in (
-        [(case, False) for case in _CASES] + [(_WHOLE_GRAPH_CASE, True)]
-    ):
-        graph = factory()
-        results = {}
-        throughput = {}
-        for engine in ("copy", "trail"):
-            start = time.perf_counter()
-            result = _solve(graph, k, "bitset", engine=engine, whole_graph=whole)
-            elapsed = time.perf_counter() - start
-            assert result.optimal
-            assert result.stats.engine == engine
-            results[engine] = result
-            throughput[engine] = result.stats.nodes / elapsed if elapsed > 0 else float("inf")
-            _ENGINE_RECORDER.record_solve(name, result, elapsed, k=k,
-                                          column=f"engine-{engine}",
-                                          nodes_per_second=round(throughput[engine], 1))
-        assert results["copy"].size == results["trail"].size, name
-        ratio = throughput["trail"] / throughput["copy"]
-        rows.append((name, whole, ratio))
-        with capsys.disabled():
-            print(
-                f"\n[engine-compare] {name} k={k}: copy {throughput['copy']:.0f} n/s "
-                f"({results['copy'].stats.nodes} nodes), trail {throughput['trail']:.0f} n/s "
-                f"({results['trail'].stats.nodes} nodes), throughput ratio {ratio:.2f}x"
-            )
-
-    for name, whole, ratio in rows:
-        if whole:
-            assert ratio >= MIN_TRAIL_SPEEDUP_WHOLE_GRAPH, (
-                f"trail engine fell below {MIN_TRAIL_SPEEDUP_WHOLE_GRAPH}x copy node "
-                f"throughput on the whole-graph case {name}: {ratio:.2f}x"
-            )
-        else:
-            # Decomposed ego subproblems are the copy engine's best regime;
-            # the trail engine must at least stay within noise of it.
-            assert ratio >= 0.75, (
-                f"trail engine regressed node throughput on {name}: {ratio:.2f}x"
-            )

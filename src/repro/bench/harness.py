@@ -50,7 +50,6 @@ def make_solver(
     node_limit: Optional[int] = None,
     backend: Optional[str] = None,
     workers: Optional[int] = None,
-    engine: Optional[str] = None,
 ):
     """Instantiate a solver by its paper name.
 
@@ -59,21 +58,20 @@ def make_solver(
     the baseline reimplementations.
 
     ``backend`` overrides the search-state backend of the kDC variants
-    (``"auto"``, ``"set"`` or ``"bitset"``), ``workers`` the number of
-    decomposition worker processes, and ``engine`` the bitset
-    branch-and-bound engine (``"trail"`` or ``"copy"``); the baselines have
-    a single implementation and reject all three.
+    (``"auto"``, ``"set"`` or ``"bitset"``) and ``workers`` the number of
+    decomposition worker processes; the baselines have a single
+    implementation and reject both.
     """
     if name in ("KDBB",):
-        if backend is not None or workers is not None or engine is not None:
+        if backend is not None or workers is not None:
             raise InvalidParameterError(
-                "backend/workers/engine selection only applies to the kDC variants"
+                "backend/workers selection only applies to the kDC variants"
             )
         return KDBBSolver(time_limit=time_limit, node_limit=node_limit)
     if name in ("MADEC", "MADEC+"):
-        if backend is not None or workers is not None or engine is not None:
+        if backend is not None or workers is not None:
             raise InvalidParameterError(
-                "backend/workers/engine selection only applies to the kDC variants"
+                "backend/workers selection only applies to the kDC variants"
             )
         return MADECSolver(time_limit=time_limit, node_limit=node_limit)
     try:
@@ -87,8 +85,6 @@ def make_solver(
         overrides["backend"] = backend
     if workers is not None:
         overrides["workers"] = workers
-    if engine is not None:
-        overrides["engine"] = engine
     if overrides:
         config = dataclass_replace(config, **overrides)
     return KDCSolver(config, name=name)
@@ -112,10 +108,7 @@ class InstanceRecord:
     #: decomposition worker processes used (0 when the solve never entered
     #: the degeneracy decomposition, e.g. baselines or whole-graph searches)
     workers: int = 0
-    #: bitset engine that ran ("trail"/"copy"; "" when the bitset backend
-    #: never ran)
-    engine: str = ""
-    #: trail engine counters (all 0 for the copy engine / set backend)
+    #: bitset engine counters (all 0 for the set backend)
     trail_pushes: int = 0
     trail_pops: int = 0
     dirty_drained: int = 0
@@ -145,7 +138,6 @@ class InstanceRecord:
             "nodes": self.nodes,
             "backend": self.backend,
             "workers": self.workers,
-            "engine": self.engine,
             "trail_pushes": self.trail_pushes,
             "trail_pops": self.trail_pops,
             "dirty_drained": self.dirty_drained,
@@ -182,7 +174,6 @@ class InstanceRecord:
             nodes=stats.nodes,
             backend=stats.backend,
             workers=stats.workers,
-            engine=stats.engine,
             trail_pushes=stats.trail_pushes,
             trail_pops=stats.trail_pops,
             dirty_drained=stats.dirty_drained,
@@ -204,19 +195,15 @@ def run_instance(
     instance: str = "",
     backend: Optional[str] = None,
     workers: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> InstanceRecord:
     """Run one algorithm on one graph for one ``k`` under a time limit.
 
-    ``backend`` optionally forces the kDC search-state backend, ``workers``
-    the decomposition worker-process count, and ``engine`` the bitset
-    engine; what actually ran (backend resolved from ``"auto"``, workers
-    actually used by the decomposition, the engine that searched) is
-    recorded on the returned record.
+    ``backend`` optionally forces the kDC search-state backend and
+    ``workers`` the decomposition worker-process count; what actually ran
+    (backend resolved from ``"auto"``, workers actually used by the
+    decomposition) is recorded on the returned record.
     """
-    solver = make_solver(
-        algorithm, time_limit=time_limit, backend=backend, workers=workers, engine=engine
-    )
+    solver = make_solver(algorithm, time_limit=time_limit, backend=backend, workers=workers)
     start = time.perf_counter()
     result: SolveResult = solver.solve(graph, k)
     elapsed = time.perf_counter() - start

@@ -1,20 +1,18 @@
 """Resumable experiment-matrix runner over the :class:`ExperimentStore`.
 
-A campaign executes the full ``instance × k × algorithm × backend × engine ×
-workers`` grid described by a :class:`MatrixSpec`.  Every completed cell is
+A campaign executes the full ``instance × k × algorithm × backend × workers``
+grid described by a :class:`MatrixSpec`.  Every completed cell is
 committed to the store before the next one starts, so an interrupted
 campaign (Ctrl-C, crash, CI timeout, ``max_cells`` budget) resumes from its
 checkpoint: re-running the same spec finds the unfinished run row (matched
 by the spec digest) and executes only the missing cells.
 
-The grid is normalised rather than taken as a raw cross product:
-
-* the ``set`` backend ignores the engine knob, so its cells collapse the
-  engine axis to a single ``""`` cell (running ``set × trail`` and
-  ``set × copy`` would measure the same code twice under two names);
-* the ``KDBB``/``MADEC`` baselines have a single implementation and reject
-  backend/engine/workers selection, so they contribute one cell per
-  ``(instance, k)``.
+The grid is normalised rather than taken as a raw cross product: the
+``KDBB``/``MADEC`` baselines have a single implementation and reject
+backend/workers selection, so they contribute one cell per
+``(instance, k)``.  The store's ``engine`` keyfield is ``"trail"`` on the
+other non-set cells and ``""`` elsewhere — what it held while the bitset
+backend had two engines, so old and new runs pair cell for cell.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.config import BACKEND_NAMES, ENGINE_NAMES
+from ..core.config import BACKEND_NAMES
 from ..datasets.collections import COLLECTION_NAMES, SCALES, DatasetInstance, get_collection
 from ..exceptions import InvalidParameterError
 from .harness import ALGORITHMS, InstanceRecord, run_instance
@@ -32,8 +30,11 @@ from .store import ExperimentStore, split_record
 
 __all__ = ["MatrixSpec", "RunReport", "run_matrix"]
 
-#: Algorithms with a single implementation (no backend/engine/workers axes).
+#: Algorithms with a single implementation (no backend/workers axes).
 _BASELINES = ("KDBB", "MADEC", "MADEC+")
+
+#: The ``engine`` keyfield of every non-set kDC cell.
+_BITSET_ENGINE = "trail"
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,6 @@ class MatrixSpec:
     k_values: Tuple[int, ...] = (1,)
     algorithms: Tuple[str, ...] = ("kDC",)
     backends: Tuple[str, ...] = ("set", "bitset")
-    engines: Tuple[str, ...] = ("trail", "copy")
     workers: Tuple[int, ...] = (1,)
     time_limit: Optional[float] = 2.0
     node_limit: Optional[int] = None
@@ -77,11 +77,6 @@ class MatrixSpec:
             if name not in BACKEND_NAMES:
                 raise InvalidParameterError(
                     f"unknown backend {name!r}; expected one of {', '.join(BACKEND_NAMES)}"
-                )
-        for name in self.engines:
-            if name not in ENGINE_NAMES:
-                raise InvalidParameterError(
-                    f"unknown engine {name!r}; expected one of {', '.join(ENGINE_NAMES)}"
                 )
         if not self.k_values:
             raise InvalidParameterError("k_values must not be empty")
@@ -127,21 +122,19 @@ class MatrixSpec:
                         )
                         continue
                     for backend in self.backends:
-                        # The set backend has no engine axis; collapse it.
-                        engines = self.engines if backend != "set" else ("",)
-                        for engine in engines:
-                            for workers in self.workers:
-                                cells.append(
-                                    {
-                                        "collection": inst.collection,
-                                        "instance": inst.name,
-                                        "k": k,
-                                        "algorithm": algorithm,
-                                        "backend": backend,
-                                        "engine": engine,
-                                        "workers": workers,
-                                    }
-                                )
+                        engine = "" if backend == "set" else _BITSET_ENGINE
+                        for workers in self.workers:
+                            cells.append(
+                                {
+                                    "collection": inst.collection,
+                                    "instance": inst.name,
+                                    "k": k,
+                                    "algorithm": algorithm,
+                                    "backend": backend,
+                                    "engine": engine,
+                                    "workers": workers,
+                                }
+                            )
         return cells
 
 
@@ -176,10 +169,9 @@ def _execute_cell(
     """Run the solver for one grid cell and return its measurement record."""
     algorithm = str(keyfields["algorithm"])
     if algorithm in _BASELINES:
-        backend = workers = engine = None
+        backend = workers = None
     else:
         backend = str(keyfields["backend"])
-        engine = str(keyfields["engine"]) or None
         workers = int(keyfields["workers"])
     return run_instance(
         algorithm,
@@ -190,7 +182,6 @@ def _execute_cell(
         instance=str(keyfields["instance"]),
         backend=backend,
         workers=workers,
-        engine=engine,
     )
 
 

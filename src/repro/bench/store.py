@@ -13,8 +13,10 @@ tables):
   finish timestamps and a status (``running``/``partial``/``interrupted``/
   ``complete``);
 * ``experiments`` — one row per completed cell, keyed by the **keyfields**
-  ``(collection, instance, k, algorithm, backend, engine, workers)`` with
-  the **resultfields** ``size``/``optimal``/``nodes``/``elapsed_seconds``/
+  ``(collection, instance, k, algorithm, backend, engine, workers)`` —
+  ``engine`` is ``"trail"`` for bitset cells and ``""`` otherwise, kept so
+  stores written while a second bitset engine existed still pair their
+  cells — with the **resultfields** ``size``/``optimal``/``nodes``/``elapsed_seconds``/
   ``node_throughput`` plus the request-level phase timings
   (``prepare_ms``/``queue_ms``/``solve_ms``/``cache_hit``) introduced by the
   solver service.  Unmapped fields survive in an ``extra`` JSON column.

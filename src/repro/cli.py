@@ -5,20 +5,19 @@ Sub-commands
 * ``solve``       — find a maximum k-defective clique of a graph file
   (``--backend set|bitset|auto`` selects the search-state backend; the
   bitset backend adds a degeneracy decomposition on large instances,
-  ``--engine trail|copy`` picks the branch-and-bound engine, ``--workers N``
-  runs the decomposition's ego subproblems across N processes with no
-  change to the optimal size returned, and ``--stats`` dumps the full
-  search counters);
+  ``--workers N`` runs the decomposition's ego subproblems across N
+  processes with no change to the optimal size returned, and ``--stats``
+  dumps the full search counters);
 * ``compare``     — run several algorithms on one graph and tabulate them;
 * ``top-r``       — top-r maximal or diversified k-defective cliques;
 * ``properties``  — Tables 5–7 style analysis of one graph;
 * ``experiments`` — run one of the paper's table/figure reproductions, or
   drive the SQLite experiment store: ``experiments run`` executes the
-  instance × k × algorithm × backend × engine × workers matrix with
-  per-cell checkpoints (interrupted campaigns resume), ``experiments
-  compare`` diffs a fresh run against the stored trajectory and exits
-  non-zero on a >20% median node-throughput regression in any
-  (backend, engine) cell, ``experiments export`` dumps a run as JSON, and
+  instance × k × algorithm × backend × workers matrix with per-cell
+  checkpoints (interrupted campaigns resume), ``experiments compare``
+  diffs a fresh run against the stored trajectory and exits non-zero on a
+  >20% median node-throughput regression in any (backend, engine) cell of
+  the store, ``experiments export`` dumps a run as JSON, and
   ``experiments query`` runs read-only SQL (or a canned trend report such
   as ``--report throughput-trend``) with table or CSV output;
 * ``stats``       — print structural statistics of a graph file;
@@ -47,7 +46,7 @@ from typing import List, Optional
 from .analysis.properties import analyze_graph
 from .bench.experiments import EXPERIMENTS, run_experiment
 from .bench.harness import ALGORITHMS, make_solver, run_instance
-from .core.config import BACKEND_NAMES, ENGINE_NAMES
+from .core.config import BACKEND_NAMES
 from .bench.reporting import format_table
 from .core.gamma import complexity_comparison
 from .datasets.collections import COLLECTION_NAMES, SCALES, get_collection
@@ -100,15 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         "usable heuristic bound); otherwise the solve is sequential",
     )
     solve.add_argument(
-        "--engine",
-        default=None,
-        choices=list(ENGINE_NAMES),
-        help="bitset branch-and-bound engine: 'trail' (undo-stack engine with "
-        "worklist reductions and repairable coloring bounds; the default) or "
-        "'copy' (copy-per-child baseline kept for differential testing).  "
-        "Both are exact; the set backend ignores this",
-    )
-    solve.add_argument(
         "--stats",
         action="store_true",
         help="print the full search statistics (nodes, prunes, per-rule "
@@ -156,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp_run = exp_sub.add_parser(
         "run",
-        help="execute the instance x k x algorithm x backend x engine x workers "
+        help="execute the instance x k x algorithm x backend x workers "
         "matrix into a SQLite experiment store, checkpointing each cell "
         "(an interrupted campaign resumes instead of restarting)",
     )
@@ -181,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithms", nargs="+", default=["kDC"], choices=list(ALGORITHMS) + ["MADEC+"]
     )
     exp_run.add_argument("--backends", nargs="+", default=["set", "bitset"], choices=list(BACKEND_NAMES))
-    exp_run.add_argument("--engines", nargs="+", default=["trail", "copy"], choices=list(ENGINE_NAMES))
     exp_run.add_argument("--workers", nargs="+", type=int, default=[1], help="worker-process counts")
     exp_run.add_argument("--time-limit", type=float, default=2.0, help="per-cell budget in seconds")
     exp_run.add_argument(
@@ -287,12 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="search-state backend answering queries (default auto)",
     )
     serve.add_argument(
-        "--engine",
-        default="trail",
-        choices=list(ENGINE_NAMES),
-        help="bitset branch-and-bound engine (default trail)",
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -388,7 +371,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     graph = load_graph(args.path, fmt=args.format)
     solver = make_solver(
         args.algorithm, time_limit=args.time_limit, backend=args.backend,
-        workers=args.workers, engine=args.engine,
+        workers=args.workers,
     )
     result = solver.solve(graph, args.k)
     print(result.summary())
@@ -475,7 +458,6 @@ def _cmd_experiments_run(args: argparse.Namespace) -> int:
         k_values=tuple(args.k),
         algorithms=tuple(args.algorithms),
         backends=tuple(args.backends),
-        engines=tuple(args.engines),
         workers=tuple(args.workers),
         time_limit=args.time_limit,
         instance_limit=args.instance_limit,
@@ -485,7 +467,7 @@ def _cmd_experiments_run(args: argparse.Namespace) -> int:
         cell = "/".join(
             str(keyfields[f]) for f in ("collection", "instance", "k", "algorithm")
         )
-        axes = f"{keyfields['backend'] or '-'}:{keyfields['engine'] or '-'}:w{keyfields['workers']}"
+        axes = f"{keyfields['backend'] or '-'}:w{keyfields['workers']}"
         print(
             f"  {cell} [{axes}] size={record.size}"
             f" nodes={record.nodes} {record.elapsed_seconds:.3f}s",
@@ -657,7 +639,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .core.config import SolverConfig
     from .service import ServiceServer, run_server
 
-    config = SolverConfig(backend=args.backend, engine=args.engine, workers=args.workers)
+    config = SolverConfig(backend=args.backend, workers=args.workers)
     server = ServiceServer(
         host=args.host,
         port=args.port,

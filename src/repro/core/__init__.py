@@ -17,7 +17,7 @@ from .bounds import (
 )
 from .branching import select_branching_vertex
 from .checkpoint import SolveCheckpoint, checkpoint_meta
-from .config import BACKEND_NAMES, ENGINE_NAMES, VARIANT_NAMES, SolverConfig, variant_config
+from .config import BACKEND_NAMES, VARIANT_NAMES, SolverConfig, variant_config
 from .decompose import build_ego_subproblem, solve_decomposed
 from .parallel import solve_decomposed_parallel
 from .fastpath import (
@@ -27,7 +27,6 @@ from .fastpath import (
     bitset_color_classes,
     bitset_select_branching_vertex,
     bitset_ub1_from_classes,
-    bitset_ub1_improved_coloring,
     bitset_ub2_min_degree,
     bitset_ub3_degree_sequence,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "variant_config",
     "VARIANT_NAMES",
     "BACKEND_NAMES",
-    "ENGINE_NAMES",
     "SolveResult",
     "SearchStats",
     "PreparedInstance",
@@ -83,7 +81,6 @@ __all__ = [
     "bitset_color_classes",
     "bitset_select_branching_vertex",
     "bitset_ub1_from_classes",
-    "bitset_ub1_improved_coloring",
     "bitset_ub2_min_degree",
     "bitset_ub3_degree_sequence",
     "solve_decomposed",

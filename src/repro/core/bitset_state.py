@@ -6,8 +6,6 @@ rows — is stored as an arbitrary-precision Python ``int`` used as a bitmask
 (bit ``v`` set ⇔ vertex ``v`` is in the set).  That turns the operations the
 solver performs at every node into word-parallel integer arithmetic:
 
-* copying a state is a flat ``list`` copy plus a handful of ``int``
-  references instead of three dict/set deep copies;
 * degrees are ``(adj[v] & verts).bit_count()`` popcounts;
 * neighbourhood intersections (RR4, UB1's coloring, the decomposition's
   candidate filters) are single ``&`` operations over n-bit words.
@@ -17,27 +15,29 @@ degeneracy decomposition) use masks only as wide as the subproblem, which is
 what makes the decomposition driver in :mod:`repro.core.decompose` scale to
 graphs far larger than the set-based backend can handle.
 
-The invariants maintained are exactly those of ``SearchState``:
+The state maintains two of the invariants of ``SearchState``:
 
 * ``missing_in_solution`` — number of non-edges inside ``S``;
-* ``non_nbrs[v]`` — for every candidate ``v``, ``|\\bar{N}_S(v)|``;
-* ``edges_in_graph`` — number of edges of the instance graph (kept
-  incrementally so the leaf test is O(1)).
+* ``non_nbrs[v]`` — for every candidate ``v``, ``|\\bar{N}_S(v)|``.
+
+The instance graph's edge count is not maintained: removals outnumber nodes
+(each is also rewound and redone along sibling branches), so the leaf test
+counts missing edges on demand with an early exit instead.
 
 Trail (undo stack)
 ------------------
-A state can optionally record every transition on a *trail* so it can be
-rewound instead of copied: :meth:`BitsetSearchState.begin_trail` installs the
-trail, after which :meth:`add_to_solution` and :meth:`remove_candidate` push
-one reversible entry each, and :meth:`rewind_to` pops entries back to a mark
+A state can record every transition on a *trail* so it can be rewound
+instead of copied: :meth:`BitsetSearchState.begin_trail` installs the trail,
+after which :meth:`add_to_solution` and :meth:`remove_candidate` push one
+reversible entry each, and :meth:`rewind_to` pops entries back to a mark
 taken with :meth:`trail_mark`.  An entry stores only what the inverse
-operation cannot recompute — the previous ``last_added`` for an addition, the
-edge-count delta for a removal; everything else (``non_nbrs`` updates, the
-``missing_in_solution`` delta) is reconstructed from the state itself, which
-is valid precisely because rewinding is LIFO: when an entry is popped the
-state is bit-for-bit the state right after that entry was pushed.  This is
-what the trail engine in :mod:`repro.core.fastpath` builds on: branching
-costs O(changes), not O(n).
+operation cannot recompute — the previous ``last_added`` for an addition,
+nothing but the vertex for a removal; everything else (``non_nbrs`` updates,
+the ``missing_in_solution`` delta) is reconstructed from the state itself,
+which is valid precisely because rewinding is LIFO: when an entry is popped
+the state is bit-for-bit the state right after that entry was pushed.  This
+is what the engine in :mod:`repro.core.fastpath` builds on: branching costs
+O(changes), not O(n).
 """
 
 from __future__ import annotations
@@ -101,17 +101,16 @@ def bits_of(mask: int) -> List[int]:
 
 
 # Trail entry encoding: a candidate removal is pushed as the bare vertex id
-# ``v`` under lazy edge tracking (the common case by far — nothing else needs
-# restoring) or as ``-(v + 1)`` with the edge delta in a side list otherwise;
-# an addition to ``S`` is pushed as the 2-tuple ``(v, previous_last_added)``.
+# ``v`` (nothing else needs restoring); an addition to ``S`` is pushed as the
+# 2-tuple ``(v, previous_last_added)``.
 
 
 class BitsetSearchState:
     """Mutable branch-and-bound instance ``(g, S)`` over packed adjacency bitmaps.
 
     Parameters mirror :class:`~repro.core.instance.SearchState`; vertex ids
-    must be integers in ``range(len(adj))``.  The ``adj`` list is shared
-    (never mutated) by every state derived from the same root.
+    must be integers in ``range(len(adj))``.  The ``adj`` list is shared,
+    never mutated.
     """
 
     __slots__ = (
@@ -122,12 +121,10 @@ class BitsetSearchState:
         "cand_bits",
         "missing_in_solution",
         "non_nbrs",
-        "edges_in_graph",
         "last_added",
         "trail",
         "trail_pushes",
         "trail_pops",
-        "lazy_edges",
         "_cand_key",
         "_cand_list",
     )
@@ -141,7 +138,6 @@ class BitsetSearchState:
         cand_bits: int,
         missing_in_solution: int,
         non_nbrs: List[int],
-        edges_in_graph: int,
         last_added: Optional[int],
     ) -> None:
         self.adj = adj
@@ -151,13 +147,11 @@ class BitsetSearchState:
         self.cand_bits = cand_bits
         self.missing_in_solution = missing_in_solution
         self.non_nbrs = non_nbrs
-        self.edges_in_graph = edges_in_graph
         self.last_added = last_added
-        #: Undo stack; entries are bare ints (lazy removals) or 2-tuples.
+        #: Undo stack; entries are bare ints (removals) or 2-tuples (additions).
         self.trail: Optional[list] = None
         self.trail_pushes = 0
         self.trail_pops = 0
-        self.lazy_edges = False
         self._cand_key = -1
         self._cand_list: List[int] = []
 
@@ -182,7 +176,6 @@ class BitsetSearchState:
         """
         if vertices_bits is None:
             vertices_bits = (1 << len(adj)) - 1
-        edges = sum((adj[v] & vertices_bits).bit_count() for v in bits_of(vertices_bits)) // 2
         return cls(
             adj=adj,
             k=k,
@@ -191,29 +184,8 @@ class BitsetSearchState:
             cand_bits=vertices_bits,
             missing_in_solution=0,
             non_nbrs=[0] * len(adj),
-            edges_in_graph=edges,
             last_added=None,
         )
-
-    def copy(self) -> "BitsetSearchState":
-        """Return an independent copy sharing only the immutable adjacency rows.
-
-        The copy never inherits a trail: copies exist precisely so the copy
-        engine does not need one, and a shared trail would corrupt rewinds.
-        """
-        clone = BitsetSearchState(
-            adj=self.adj,
-            k=self.k,
-            solution=list(self.solution),
-            solution_bits=self.solution_bits,
-            cand_bits=self.cand_bits,
-            missing_in_solution=self.missing_in_solution,
-            non_nbrs=list(self.non_nbrs),
-            edges_in_graph=self.edges_in_graph,
-            last_added=self.last_added,
-        )
-        clone.lazy_edges = self.lazy_edges
-        return clone
 
     # ------------------------------------------------------------------ #
     # Size / structure queries
@@ -256,9 +228,7 @@ class BitsetSearchState:
         return (self.adj[v] & (self.solution_bits | self.cand_bits)).bit_count()
 
     def total_edges(self) -> int:
-        """Number of edges of the instance graph (incremental, or recounted under ``lazy_edges``)."""
-        if not self.lazy_edges:
-            return self.edges_in_graph
+        """Number of edges of the instance graph (counted on demand)."""
         verts = self.solution_bits | self.cand_bits
         adj = self.adj
         return sum((adj[v] & verts).bit_count() for v in iter_bits(verts)) // 2
@@ -271,19 +241,15 @@ class BitsetSearchState:
     def is_defective_clique(self, cand_list: Optional[List[int]] = None) -> bool:
         """``True`` iff the entire instance graph is a k-defective clique (leaf test).
 
-        With incremental edge tracking this is one O(1) comparison.  Under
-        :attr:`lazy_edges` the missing edges are counted on demand with an
-        early exit: first the exactly-known ``S``-side misses
-        (``missing_in_solution`` plus the ``non_nbrs`` counters), then the
-        candidate-internal misses vertex by vertex — on non-leaf instances
-        the budget ``k`` is exhausted within a few candidates, so the common
-        case costs a handful of integer adds and popcounts, not O(n).
-        ``cand_list`` (the materialised candidate bits) is accepted to reuse
-        the engine's per-node scan.
+        The missing edges are counted on demand with an early exit: first
+        the exactly-known ``S``-side misses (``missing_in_solution`` plus the
+        ``non_nbrs`` counters), then the candidate-internal misses vertex by
+        vertex — on non-leaf instances the budget ``k`` is exhausted within
+        a few candidates, so the common case costs a handful of integer adds
+        and popcounts, not O(n).  ``cand_list`` (the materialised candidate
+        bits) is accepted to reuse the engine's per-node scan.
         """
         k = self.k
-        if not self.lazy_edges:
-            return self.total_missing() <= k
         missing = self.missing_in_solution
         if missing > k:
             return False
@@ -338,39 +304,11 @@ class BitsetSearchState:
         self.last_added = v
 
     def remove_candidate(self, v: int) -> None:
-        """Delete candidate ``v`` from the instance graph ``g``.
-
-        One popcount to keep ``edges_in_graph`` exact — unless the owner
-        enabled :attr:`lazy_edges` (see :meth:`defer_edge_tracking`), in
-        which case a removal is a pure bit-clear and the leaf test counts
-        missing edges on demand.
-        """
-        bit = 1 << v
-        if self.lazy_edges:
-            if self.trail is not None:
-                self.trail.append(v)
-                self.trail_pushes += 1
-            self.cand_bits &= ~bit
-            return
-        removed_edges = (self.adj[v] & (self.solution_bits | self.cand_bits & ~bit)).bit_count()
+        """Delete candidate ``v`` from the instance graph ``g`` (a pure bit-clear)."""
         if self.trail is not None:
-            self.trail.append((-v - 1, removed_edges))
+            self.trail.append(v)
             self.trail_pushes += 1
-        self.edges_in_graph -= removed_edges
-        self.cand_bits &= ~bit
-
-    def defer_edge_tracking(self) -> None:
-        """Stop maintaining ``edges_in_graph`` incrementally.
-
-        Afterwards removals are pure bit-clears, ``edges_in_graph`` is
-        stale, and every edge-count query (:meth:`total_edges`,
-        :meth:`total_missing`, :meth:`is_defective_clique`) recomputes what
-        it needs on demand — :meth:`is_defective_clique` with an early exit
-        that is far cheaper than per-removal maintenance under heavy
-        reduction churn.  Used by the trail engine, which removes (and
-        rewinds) each candidate many times along different branches.
-        """
-        self.lazy_edges = True
+        self.cand_bits &= ~(1 << v)
 
     # ------------------------------------------------------------------ #
     # Trail (undo stack)
@@ -403,15 +341,10 @@ class BitsetSearchState:
             entry = trail.pop()
             popped += 1
             if type(entry) is int:
-                # Lazy-mode candidate removal: restoring the bit is all there is.
+                # Candidate removal: restoring the bit is all there is.
                 self.cand_bits |= 1 << entry
                 continue
             v, aux = entry
-            if v < 0:
-                # Tracked candidate removal: restore the bit and the edge count.
-                self.cand_bits |= 1 << (-v - 1)
-                self.edges_in_graph += aux
-                continue
             # Inverse of add_to_solution(v): decrement the very counters
             # the forward op incremented (cand_bits still excludes v
             # here, exactly as it did right after the forward update).
@@ -437,12 +370,6 @@ class BitsetSearchState:
         """
         assert self.solution_bits == mask_of(self.solution), "solution_bits out of sync with solution list"
         assert not (self.solution_bits & self.cand_bits), "solution and candidates overlap"
-        verts = self.solution_bits | self.cand_bits
-        if not self.lazy_edges:
-            edges = sum((self.adj[v] & verts).bit_count() for v in iter_bits(verts)) // 2
-            assert edges == self.edges_in_graph, (
-                f"edge count mismatch: cached {self.edges_in_graph}, actual {edges}"
-            )
         sol = self.solution
         missing = 0
         for i, u in enumerate(sol):

@@ -188,8 +188,8 @@ def checkpoint_meta(digest: str, k: int, algorithm: str, config) -> Dict[str, An
     Everything that changes which anchors exist or what their completed
     searches mean is part of the identity: the instance digest, ``k``, the
     algorithm, the prepare-relevant knobs (heuristic, RR5/RR6 — they shape
-    the prepared instance the anchors come from) and the backend/engine
-    pair.  A journal whose meta does not match is discarded, never reused.
+    the prepared instance the anchors come from) and the backend.  A journal
+    whose meta does not match is discarded, never reused.
     """
     return {
         "version": _CHECKPOINT_VERSION,
@@ -200,7 +200,6 @@ def checkpoint_meta(digest: str, k: int, algorithm: str, config) -> Dict[str, An
         "rr5": config.use_rr5,
         "rr6": config.use_rr6,
         "backend": config.backend,
-        "engine": config.engine,
     }
 
 

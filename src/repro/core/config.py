@@ -16,13 +16,10 @@ from typing import Dict, Optional
 
 from ..exceptions import InvalidParameterError
 
-__all__ = ["SolverConfig", "variant_config", "VARIANT_NAMES", "BACKEND_NAMES", "ENGINE_NAMES"]
+__all__ = ["SolverConfig", "variant_config", "VARIANT_NAMES", "BACKEND_NAMES"]
 
 #: Search-state backends accepted by :attr:`SolverConfig.backend`.
 BACKEND_NAMES = ("auto", "set", "bitset")
-
-#: Bitset branch-and-bound engines accepted by :attr:`SolverConfig.engine`.
-ENGINE_NAMES = ("trail", "copy")
 
 #: The solver variants evaluated in the paper's experiments.
 VARIANT_NAMES = (
@@ -65,21 +62,6 @@ class SolverConfig:
     #: adjacency bitmaps, see :mod:`repro.core.fastpath`), or "auto" (pick by
     #: instance size after preprocessing)
     backend: str = "auto"
-    #: bitset branch-and-bound engine: "trail" (single mutable state plus an
-    #: undo stack; branching costs O(changes), reductions drain per-rule
-    #: dirty-vertex worklists, and the coloring bound is repaired across
-    #: branches instead of rebuilt — see :mod:`repro.core.fastpath`) or
-    #: "copy" (the original copy-per-child engine, kept as the differential
-    #: baseline).  Both are exact; the set backend ignores this knob.
-    engine: str = "trail"
-    #: trail engine only: number of consecutive nodes allowed to *repair* the
-    #: inherited coloring-bound classes before a full recolor is forced (a
-    #: repaired bound that lands next to the incumbent escalates to a full
-    #: recolor regardless, so this is the upper bound on staleness, not the
-    #: typical case).  1 recolors at every node, making the trail engine
-    #: node-for-node identical to the copy engine — the lockstep tests run
-    #: exactly that; larger values trade bound tightness for per-node cost.
-    recolor_period: int = 8
     #: minimum number of (reduced) vertices before the bitset backend switches
     #: from one whole-graph search to the degeneracy decomposition of
     #: :mod:`repro.core.decompose`
@@ -105,12 +87,6 @@ class SolverConfig:
             raise InvalidParameterError(
                 f"backend must be one of {', '.join(BACKEND_NAMES)}, got {self.backend!r}"
             )
-        if self.engine not in ENGINE_NAMES:
-            raise InvalidParameterError(
-                f"engine must be one of {', '.join(ENGINE_NAMES)}, got {self.engine!r}"
-            )
-        if self.recolor_period < 1:
-            raise InvalidParameterError("recolor_period must be a positive integer")
         if self.decompose_threshold < 1:
             raise InvalidParameterError("decompose_threshold must be a positive integer")
         if self.workers < 1:

@@ -66,10 +66,10 @@ def solve_anchor(
     driver's lost-worker recovery loop: prunes via
     :func:`build_ego_subproblem`'s size cap (counted in
     ``stats.subproblems_pruned``) or runs one engine search (counted in
-    ``stats.subproblems``), growing ``incumbent`` in place.  Each subproblem
-    search runs the engine selected by ``config.engine`` — the trail
-    (undo-stack) engine by default — so worker processes and the sequential
-    driver branch with the same per-node cost profile.
+    ``stats.subproblems``), growing ``incumbent`` in place.  Worker
+    processes and the sequential driver run the same
+    :class:`~repro.core.fastpath.BitsetEngine`, so they branch with the same
+    per-node cost profile.
     """
     sub = build_ego_subproblem(neighbors, position, v, len(incumbent), k)
     if sub is None:

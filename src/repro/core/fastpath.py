@@ -15,9 +15,10 @@ inner loops share two disciplines:
   :func:`~repro.core.bitset_state.bits_of` (a byte-table walk over
   ``int.to_bytes`` whose per-element cost is several times lower than
   repeated ``mask & -mask`` extraction) and then iterate the list at C speed;
-* the engine extracts the candidate list and the instance-graph degrees once
-  per node and shares them between UB3, UB1 and the branching rule — the
-  state is not mutated between those steps.
+* the engine extracts the candidate list once per node and shares it
+  between the leaf test, UB3, UB1 and the branching rule, and a full recolor
+  shares its instance-graph degree scan with the branching rule — the state
+  is not mutated between those steps.
 
 :class:`BitsetEngine` is the branch-and-bound driver over that state.  It is
 deliberately incumbent-*sharing*: the caller hands it a mutable ``incumbent``
@@ -28,12 +29,8 @@ RR5/UB pruning discards most of them without branching.
 
 Trail engine invariants
 -----------------------
-``SolverConfig.engine`` selects between two drivers.  ``"copy"`` is the
-original copy-per-child engine: the include branch copies the whole state,
-the exclude branch mutates it in place, and every node re-runs full
-reduction sweeps and a fresh coloring.  ``"trail"`` (the default) keeps ONE
-mutable state for the whole search and makes a node's cost proportional to
-what changed, resting on three invariants:
+The engine keeps ONE mutable state for the whole search and makes a node's
+cost proportional to what changed, resting on three invariants:
 
 1. **Trail (undo stack).**  Every ``add_to_solution`` / ``remove_candidate``
    pushes a reversible delta onto the state's trail
@@ -66,14 +63,12 @@ what changed, resting on three invariants:
    bitmasks.  Deleting vertices keeps every class an independent set, so a
    child *repairs* the inherited classes (one ``&`` per class against the
    surviving candidates) instead of recoloring.  A full degree-ordered
-   recolor runs when the staleness counter trips
-   ``SolverConfig.recolor_period`` — or earlier, when the repaired bound
-   lands within :data:`_RECOLOR_MARGIN` of the incumbent, i.e. exactly when
-   a tighter partition could still prune (``recolor_full`` /
-   ``recolor_repair`` count both paths).  With ``recolor_period=1`` the
-   trail engine recolors every node and is node-for-node identical to the
-   copy engine — the lockstep differential tests run exactly that
-   configuration.
+   recolor runs when the staleness counter trips :data:`_RECOLOR_PERIOD`
+   — or earlier, when the repaired bound lands within
+   :data:`_RECOLOR_MARGIN` of the incumbent, i.e. exactly when a tighter
+   partition could still prune (``recolor_full`` / ``recolor_repair``
+   count both paths).  ``tests/test_trail.py`` pins the resulting search
+   trees with golden DFS traces.
 """
 
 from __future__ import annotations
@@ -94,7 +89,6 @@ __all__ = [
     "bitset_apply_reductions",
     "bitset_color_classes",
     "bitset_ub1_from_classes",
-    "bitset_ub1_improved_coloring",
     "bitset_ub2_min_degree",
     "bitset_ub3_degree_sequence",
     "bitset_select_branching_vertex",
@@ -104,15 +98,22 @@ __all__ = [
 #: "Every vertex" sentinel for dirty masks (``-1 & cand_bits == cand_bits``).
 _ALL_DIRTY = -1
 
-#: Trail engine: when a *repaired* coloring bound lands within this margin
-#: above the incumbent, a fresh (tighter) coloring might still prune, so the
-#: node escalates to a full recolor; further above, staleness cannot change
-#: the outcome and the repair is the whole cost.
+#: Number of consecutive nodes allowed to *repair* the inherited
+#: coloring-bound classes before a full recolor is forced.  A repaired bound
+#: that lands next to the incumbent escalates to a full recolor regardless
+#: (:data:`_RECOLOR_MARGIN`), so this caps staleness rather than setting its
+#: typical length.
+_RECOLOR_PERIOD = 8
+
+#: When a *repaired* coloring bound lands within this margin above the
+#: incumbent, a fresh (tighter) coloring might still prune, so the node
+#: escalates to a full recolor; further above, staleness cannot change the
+#: outcome and the repair is the whole cost.
 _RECOLOR_MARGIN = 1
 
 
 class ReductionWorklist:
-    """Per-node dirty-vertex queues driving worklist-mode reductions.
+    """Per-node dirty-vertex queues driving the engine's reductions.
 
     One bitmask per vertex-local rule (``rr1``, ``rr2``, ``rr5``); a set bit
     means the vertex must be re-examined by that rule before the node's
@@ -124,7 +125,7 @@ class ReductionWorklist:
     seeds their initial work instead: ``rr3`` (bool) requests the RR3 sweep,
     ``rr4`` is the candidate mask RR4 may scan (``_ALL_DIRTY`` for a full
     sweep, typically ``adj[b]`` on an exclude transition).  Rule progress
-    inside the drain re-requests RR3 exactly as the flag protocol does.
+    inside the drain re-requests RR3.
     """
 
     __slots__ = ("rr1", "rr2", "rr5", "rr3", "rr4")
@@ -140,7 +141,7 @@ class ReductionWorklist:
         self.rr4 = rr4
 
     def note_removed_batch(self, state: BitsetSearchState, adj_and: int, adj_or: int) -> None:
-        """Batched :meth:`note_removed` for a whole removal sweep.
+        """A removal sweep: dirty RR2 on ``cand \\ N(u)`` and RR5 on ``N(u)`` per removed ``u``.
 
         ``adj_and`` / ``adj_or`` are the intersection / union of the removed
         vertices' adjacency rows.  For the *surviving* candidates
@@ -164,15 +165,14 @@ class ReductionWorklist:
 # --------------------------------------------------------------------------- #
 def bitset_rr1(
     state: BitsetSearchState,
+    mask: int,
+    worklist: ReductionWorklist,
     stats: Optional[SearchStats] = None,
-    mask: Optional[int] = None,
-    worklist: Optional[ReductionWorklist] = None,
 ) -> int:
     """RR1 (excess-removal): drop candidates whose inclusion would exceed ``k`` missing edges.
 
-    With ``mask`` only the masked candidates are scanned (worklist mode);
-    a vertex outside the mask provably cannot violate RR1 given the
-    previously reached fixpoint.
+    Only the candidates in ``mask`` are scanned; a vertex outside the mask
+    provably cannot violate RR1 given the previously reached fixpoint.
     """
     budget = state.k - state.missing_in_solution
     adj = state.adj
@@ -180,21 +180,17 @@ def bitset_rr1(
     removed = 0
     adj_and = _ALL_DIRTY
     adj_or = 0
-    if mask is None:
-        scan_list = state.candidate_list()
-    else:
-        scan_list = bits_of(state.cand_bits & mask)
-        if stats is not None:
-            stats.dirty_drained += len(scan_list)
+    scan_list = bits_of(state.cand_bits & mask)
+    if stats is not None:
+        stats.dirty_drained += len(scan_list)
     for v in scan_list:
         if non_nbrs[v] > budget:
             state.remove_candidate(v)
-            if worklist is not None:
-                adj_v = adj[v]
-                adj_and &= adj_v
-                adj_or |= adj_v
+            adj_v = adj[v]
+            adj_and &= adj_v
+            adj_or |= adj_v
             removed += 1
-    if removed and worklist is not None:
+    if removed:
         worklist.note_removed_batch(state, adj_and, adj_or)
     if stats is not None:
         stats.count_reduction("RR1", removed)
@@ -203,20 +199,20 @@ def bitset_rr1(
 
 def bitset_rr2(
     state: BitsetSearchState,
+    mask: int,
+    worklist: ReductionWorklist,
     stats: Optional[SearchStats] = None,
-    mask: Optional[int] = None,
-    worklist: Optional[ReductionWorklist] = None,
     root_degrees: Optional[List[int]] = None,
 ) -> int:
     """RR2 (high-degree): greedily move candidates adjacent to all but ≤ 1 vertex of ``g`` into ``S``.
 
-    With ``mask`` only the masked candidates are examined.  The invariant
-    maintained by the worklist protocol is that every currently-qualifying
-    candidate is in the mask, so the lowest qualifying vertex inside the
-    mask is the lowest qualifying vertex overall — the greedy pick is
-    identical to a full scan.  A scanned non-qualifier is dropped from the
-    mask: additions can only disqualify further, and any removal that could
-    re-qualify it re-dirties it through :meth:`ReductionWorklist.note_removed`.
+    Only the candidates in ``mask`` are examined.  The invariant maintained
+    by the worklist protocol is that every currently-qualifying candidate
+    is in the mask, so the lowest qualifying vertex inside the mask is the
+    lowest qualifying vertex overall — the greedy pick is identical to a
+    full scan.  A scanned non-qualifier is dropped from the mask: additions
+    can only disqualify further, and any removal that could re-qualify it
+    re-dirties it through :meth:`ReductionWorklist.note_removed_batch`.
 
     ``root_degrees`` (each vertex's degree in the engine's root instance)
     enables an exact integer-only pre-filter: qualification means
@@ -228,20 +224,16 @@ def bitset_rr2(
     adj = state.adj
     non_nbrs = state.non_nbrs
     moved = 0
-    pending = _ALL_DIRTY if mask is None else mask
-    masked = mask is not None
+    pending = mask
     progress = True
     while progress:
         progress = False
         verts = state.solution_bits | state.cand_bits
         budget = state.k - state.missing_in_solution
         min_degree = verts.bit_count() - 2 if root_degrees is not None else 0
-        if masked:
-            scan_list = bits_of(state.cand_bits & pending)
-            if stats is not None:
-                stats.dirty_drained += len(scan_list)
-        else:
-            scan_list = state.candidate_list()
+        scan_list = bits_of(state.cand_bits & pending)
+        if stats is not None:
+            stats.dirty_drained += len(scan_list)
         for v in scan_list:
             if root_degrees is not None and root_degrees[v] < min_degree:
                 # Removing one of v's *neighbours* shrinks |V(g)| and can
@@ -253,15 +245,13 @@ def bitset_rr2(
                 others = (verts & ~adj[v]) ^ (1 << v)
                 if not (others & (others - 1)):
                     state.add_to_solution(v)
-                    if worklist is not None:
-                        worklist.note_added(state, v)
+                    worklist.note_added(state, v)
                     moved += 1
                     progress = True
                     # Moving a vertex into S changes the non-neighbour
                     # counters of the remaining candidates: restart the scan.
                     break
-            if masked:
-                pending &= ~(1 << v)
+            pending &= ~(1 << v)
     if stats is not None and moved:
         stats.rr2_additions += moved
     return moved
@@ -270,8 +260,8 @@ def bitset_rr2(
 def bitset_rr3(
     state: BitsetSearchState,
     lower_bound: int,
+    worklist: ReductionWorklist,
     stats: Optional[SearchStats] = None,
-    worklist: Optional[ReductionWorklist] = None,
 ) -> int:
     """RR3 (degree-sequence-based): remove candidates that UB3 proves useless.
 
@@ -300,12 +290,11 @@ def bitset_rr3(
         if (code >> shift) > threshold:
             v = code & id_mask
             state.remove_candidate(v)
-            if worklist is not None:
-                adj_v = adj[v]
-                adj_and &= adj_v
-                adj_or |= adj_v
+            adj_v = adj[v]
+            adj_and &= adj_v
+            adj_or |= adj_v
             removed += 1
-    if removed and worklist is not None:
+    if removed:
         worklist.note_removed_batch(state, adj_and, adj_or)
     if stats is not None:
         stats.count_reduction("RR3", removed)
@@ -315,8 +304,8 @@ def bitset_rr3(
 def bitset_rr4(
     state: BitsetSearchState,
     lower_bound: int,
+    worklist: ReductionWorklist,
     stats: Optional[SearchStats] = None,
-    worklist: Optional[ReductionWorklist] = None,
     mask: Optional[int] = None,
     root_degrees: Optional[List[int]] = None,
 ) -> int:
@@ -327,8 +316,8 @@ def bitset_rr4(
 
     With ``mask`` only the masked candidates are examined — a sound
     restriction (RR4 only discards provably useless vertices), used by the
-    trail engine on exclude transitions: removing ``b`` lowers the pairwise
-    bound mostly for ``b``'s neighbours, so they are the profitable scan.
+    engine on exclude transitions: removing ``b`` lowers the pairwise bound
+    mostly for ``b``'s neighbours, so they are the profitable scan.
 
     ``root_degrees`` enables an exact integer-only shortcut: with
     ``cn <= min(nu_total, deg(v))`` and ``tail <= slack_v``, a candidate
@@ -390,11 +379,10 @@ def bitset_rr4(
     adj_or = 0
     for v in to_remove:
         state.remove_candidate(v)
-        if worklist is not None:
-            adj_v = adj[v]
-            adj_and &= adj_v
-            adj_or |= adj_v
-    if to_remove and worklist is not None:
+        adj_v = adj[v]
+        adj_and &= adj_v
+        adj_or |= adj_v
+    if to_remove:
         worklist.note_removed_batch(state, adj_and, adj_or)
     if stats is not None:
         stats.count_reduction("RR4", len(to_remove))
@@ -404,46 +392,25 @@ def bitset_rr4(
 def bitset_rr5(
     state: BitsetSearchState,
     lower_bound: int,
+    mask: int,
+    worklist: ReductionWorklist,
     stats: Optional[SearchStats] = None,
-    mask: Optional[int] = None,
-    worklist: Optional[ReductionWorklist] = None,
 ) -> Tuple[int, bool]:
     """RR5 (degree / core): remove candidates of degree < ``lb - k`` in the instance graph.
 
     Returns ``(removed, prune)``; ``prune`` is ``True`` when a *solution*
     vertex violates the degree requirement.
 
-    With ``mask`` only the masked vertices (candidates *and* solution
-    members) are examined; the removal cascade is drained internally — each
-    removal dirties its surviving neighbours — so the unique core fixpoint
-    is reached exactly as with a full sweep.
+    Only the vertices in ``mask`` (candidates *and* solution members) are
+    examined; the removal cascade is drained internally — each removal
+    dirties its surviving neighbours — so the unique core fixpoint is
+    reached exactly as with a full sweep.
     """
     threshold = lower_bound - state.k
     if threshold <= 0:
         return 0, False
     adj = state.adj
     removed = 0
-
-    if mask is None:
-        progress = True
-        while progress:
-            progress = False
-            verts = state.solution_bits | state.cand_bits
-            for u in state.solution:
-                if (adj[u] & verts).bit_count() < threshold:
-                    if stats is not None:
-                        stats.count_reduction("RR5", removed)
-                    return removed, True
-            for v in state.candidate_list():
-                if (adj[v] & verts).bit_count() < threshold:
-                    state.remove_candidate(v)
-                    verts = state.solution_bits | state.cand_bits
-                    removed += 1
-                    progress = True
-        if stats is not None:
-            stats.count_reduction("RR5", removed)
-        return removed, False
-
     pending = mask
     adj_and = _ALL_DIRTY
     while pending:
@@ -468,7 +435,7 @@ def bitset_rr5(
                 adj_and &= adj_v
                 pending |= adj_v
                 removed += 1
-    if removed and worklist is not None:
+    if removed:
         worklist.rr2 |= state.cand_bits & ~adj_and
     if stats is not None:
         stats.count_reduction("RR5", removed)
@@ -479,10 +446,8 @@ def bitset_apply_reductions(
     state: BitsetSearchState,
     config: SolverConfig,
     lower_bound: int,
+    worklist: ReductionWorklist,
     stats: Optional[SearchStats] = None,
-    rr1_dirty: bool = True,
-    rr5_dirty: bool = True,
-    worklist: Optional[ReductionWorklist] = None,
     root_degrees: Optional[List[int]] = None,
 ) -> bool:
     """Exhaustively apply the enabled reduction rules (Line 4 of Algorithms 1/2).
@@ -500,100 +465,54 @@ def bitset_apply_reductions(
     * RR3 removes only candidates outside its reserved cheapest prefix, so
       it is a self-fixpoint; RR2 additions and foreign removals re-enable it.
 
-    The same invalidation logic extends across branch transitions, which is
-    why the engine may pass ``rr1_dirty=False`` (the branch removed a
-    candidate but left ``S`` and the incumbent untouched) or
-    ``rr5_dirty=False`` (the branch moved one vertex into ``S``, changing no
-    degree and no incumbent) for the *initial* state of the flags.
-
-    In **worklist mode** (``worklist`` given, as the trail engine does) the
-    rule-level flags become the per-vertex dirty masks of the
+    The vertex-local rules run off the per-vertex dirty masks of the
     :class:`ReductionWorklist`: a rule runs only while its queue is
     non-empty and scans only the queued vertices, draining the queue instead
-    of sweeping all candidates.  ``rr1_dirty`` / ``rr5_dirty`` are ignored —
-    the caller encodes the branch transition in the initial masks.  RR3 and
-    RR4 are full-candidate sweeps by nature, so the worklist seeds them
-    per-node instead (``worklist.rr3`` / ``worklist.rr4``): the trail engine
-    runs them in full where ``S`` grew, the incumbent rose, or the staleness
-    counter tripped, and restricts RR4 to the removed vertex's neighbours on
-    other exclude transitions.  Restricting or skipping a reduction is
-    always sound (rules only discard provably useless candidates); it
-    trades a few extra nodes for much cheaper ones.
+    of sweeping all candidates.  The caller encodes the branch transition
+    in the initial masks.  RR3 and RR4 are full-candidate sweeps by nature,
+    so the worklist seeds them per node instead (``worklist.rr3`` /
+    ``worklist.rr4``): the engine runs them in full where ``S`` grew, the
+    incumbent rose, or the staleness counter tripped, and restricts RR4 to
+    the removed vertex's neighbours on other exclude transitions.
+    Restricting or skipping a reduction is always sound (rules only discard
+    provably useless candidates); it trades a few extra nodes for much
+    cheaper ones.
 
     This skips the full verification pass the dict/set backend pays at every
     node.  Returns ``True`` when RR5 proves the instance can be discarded.
     """
     use_rr5 = config.use_rr5
     use_rr3 = config.use_rr3
-    rr4_pending = config.use_rr4
-
-    if worklist is not None:
-        wl = worklist
-        rr3_dirty = use_rr3 and wl.rr3
-        rr4_mask = wl.rr4 if rr4_pending else 0
-        while wl.rr1 or wl.rr2 or (use_rr5 and wl.rr5) or rr3_dirty or rr4_mask:
-            if wl.rr1:
-                mask = wl.rr1
-                wl.rr1 = 0
-                if bitset_rr1(state, stats, mask=mask, worklist=wl):
-                    rr3_dirty = use_rr3
-            if wl.rr2:
-                mask = wl.rr2
-                wl.rr2 = 0
-                if bitset_rr2(state, stats, mask=mask, worklist=wl, root_degrees=root_degrees):
-                    rr3_dirty = use_rr3
-            if use_rr5 and wl.rr5:
-                mask = wl.rr5
-                wl.rr5 = 0
-                removed, prune = bitset_rr5(state, lower_bound, stats, mask=mask, worklist=wl)
-                if prune:
-                    return True
-                if removed:
-                    rr3_dirty = use_rr3
-            if rr3_dirty:
-                rr3_dirty = False
-                bitset_rr3(state, lower_bound, stats, worklist=wl)
-            if rr4_mask:
-                mask = None if rr4_mask == _ALL_DIRTY else rr4_mask
-                rr4_mask = 0
-                if bitset_rr4(state, lower_bound, stats, worklist=wl, mask=mask,
-                              root_degrees=root_degrees):
-                    rr3_dirty = use_rr3
-        return False
-
-    rr2_dirty = True
-    rr5_dirty = rr5_dirty and use_rr5
-    rr3_dirty = use_rr3
-    while rr1_dirty or rr2_dirty or rr5_dirty or rr3_dirty or rr4_pending:
-        if rr1_dirty:
-            rr1_dirty = False
-            if bitset_rr1(state, stats):
-                rr2_dirty = True
-                rr5_dirty = use_rr5
+    wl = worklist
+    rr3_dirty = use_rr3 and wl.rr3
+    rr4_mask = wl.rr4 if config.use_rr4 else 0
+    while wl.rr1 or wl.rr2 or (use_rr5 and wl.rr5) or rr3_dirty or rr4_mask:
+        if wl.rr1:
+            mask = wl.rr1
+            wl.rr1 = 0
+            if bitset_rr1(state, mask, wl, stats):
                 rr3_dirty = use_rr3
-        if rr2_dirty:
-            rr2_dirty = False
-            if bitset_rr2(state, stats, root_degrees=root_degrees):
-                rr1_dirty = True
+        if wl.rr2:
+            mask = wl.rr2
+            wl.rr2 = 0
+            if bitset_rr2(state, mask, wl, stats, root_degrees=root_degrees):
                 rr3_dirty = use_rr3
-        if rr5_dirty:
-            rr5_dirty = False
-            removed, prune = bitset_rr5(state, lower_bound, stats)
+        if use_rr5 and wl.rr5:
+            mask = wl.rr5
+            wl.rr5 = 0
+            removed, prune = bitset_rr5(state, lower_bound, mask, wl, stats)
             if prune:
                 return True
             if removed:
-                rr2_dirty = True
                 rr3_dirty = use_rr3
         if rr3_dirty:
             rr3_dirty = False
-            if bitset_rr3(state, lower_bound, stats):
-                rr2_dirty = True
-                rr5_dirty = use_rr5
-        if rr4_pending:
-            rr4_pending = False
-            if bitset_rr4(state, lower_bound, stats, root_degrees=root_degrees):
-                rr2_dirty = True
-                rr5_dirty = use_rr5
+            bitset_rr3(state, lower_bound, wl, stats)
+        if rr4_mask:
+            mask = None if rr4_mask == _ALL_DIRTY else rr4_mask
+            rr4_mask = 0
+            if bitset_rr4(state, lower_bound, wl, stats, mask=mask,
+                          root_degrees=root_degrees):
                 rr3_dirty = use_rr3
     return False
 
@@ -645,8 +564,8 @@ def bitset_ub1_from_classes(state: BitsetSearchState, class_masks: Sequence[int]
     ``class_masks`` may be stale — each class is intersected with the
     current candidate set, so any partition whose union covers the
     candidates yields a valid bound (vertex deletions only shrink
-    independent sets).  This is what lets the trail engine *repair* an
-    inherited coloring instead of rebuilding it.
+    independent sets).  This is what lets the engine *repair* an inherited
+    coloring instead of rebuilding it.
 
     Every selectable weight lies in ``0..budget``, so a counting sort
     replaces the global sort; within a class the weight ``cost + j`` is
@@ -680,24 +599,6 @@ def bitset_ub1_from_classes(state: BitsetSearchState, class_masks: Sequence[int]
         budget -= avail * w
         count += avail
     return len(state.solution) + count
-
-
-def bitset_ub1_improved_coloring(
-    state: BitsetSearchState,
-    cand_list: Optional[List[int]] = None,
-    degrees: Optional[List[int]] = None,
-) -> int:
-    """The paper's improved coloring-based upper bound **UB1** on bitmasks.
-
-    Colour classes are bitmasks; the "is this class independent from v"
-    test of the greedy coloring is a single ``&`` against ``adj[v]``.
-    Composition of :func:`bitset_color_classes` and
-    :func:`bitset_ub1_from_classes` (the trail engine calls them separately
-    so it can cache and repair the classes across branches).
-    """
-    if state.slack() < 0:
-        return len(state.solution)
-    return bitset_ub1_from_classes(state, bitset_color_classes(state, cand_list, degrees))
 
 
 def bitset_ub2_min_degree(state: BitsetSearchState) -> int:
@@ -796,9 +697,9 @@ def bitset_select_branching_vertex(
 
 
 # --------------------------------------------------------------------------- #
-# Branch-and-bound engines
+# Branch-and-bound engine
 # --------------------------------------------------------------------------- #
-#: Trail-engine stack frame tags.
+#: Engine stack frame tags.
 _F_ENTER = 0    # process the node the state is currently positioned at
 _F_EXCLUDE = 1  # rewind to the node's post-reduction mark, remove b, then process
 _F_UNWIND = 2   # node fully explored: rewind to its entry mark
@@ -807,12 +708,9 @@ _F_UNWIND = 2   # node fully explored: rewind to its entry mark
 class BitsetEngine:
     """Branch-and-bound over :class:`BitsetSearchState` with a shared incumbent.
 
-    ``config.engine`` selects the driver: ``"trail"`` runs the undo-stack
-    engine (one mutable state, worklist reductions, repairable coloring —
-    see the module docstring), ``"copy"`` the original copy-per-child
-    engine.  Both visit nodes in the same recursive DFS order (node, include
-    subtree, exclude subtree) and are exact; with
-    ``config.recolor_period == 1`` they are node-for-node identical.
+    The undo-stack engine of the module docstring: one mutable state,
+    worklist reductions and a repairable coloring bound.  Nodes are visited
+    in recursive DFS order (node, include subtree, exclude subtree).
 
     Parameters
     ----------
@@ -837,7 +735,7 @@ class BitsetEngine:
     trace:
         Optional list; when set (by tests) the engine appends
         ``(solution_bits, cand_bits)`` at every node entry, capturing the
-        exact DFS sequence for lockstep comparison.
+        exact DFS sequence the golden-trace tests pin.
     """
 
     def __init__(
@@ -878,12 +776,18 @@ class BitsetEngine:
 
         Notes
         -----
-        Both engines are driven by an explicit stack rather than recursion:
-        instances are popped and processed in exactly the recursive DFS
-        order (node, then its include subtree, then its exclude subtree),
-        so arbitrarily deep branches need no ``sys.setrecursionlimit``
-        fiddling — which matters inside :mod:`multiprocessing` workers —
-        and the per-node budget poll happens at the single loop head.
+        The search is driven by an explicit stack rather than recursion:
+        stack frames carry the *plan* of the DFS, not state snapshots.
+        ``ENTER`` processes the node the state is currently positioned at,
+        ``EXCLUDE`` rewinds to the owning node's post-reduction mark and
+        performs the exclude branch, ``UNWIND`` rewinds to the owning
+        node's entry mark once both subtrees are explored.  Frames are
+        popped in exactly the recursive DFS order, so arbitrarily deep
+        branches need no ``sys.setrecursionlimit`` fiddling — which matters
+        inside :mod:`multiprocessing` workers — and the per-node budget poll
+        happens at the single loop head.  Every frame's rewind target was
+        recorded while expanding the owning node, so an interrupt (budget)
+        can simply abandon the state.
         """
         state = BitsetSearchState.initial(adj, k, vertices_bits)
         if forced is not None:
@@ -892,38 +796,16 @@ class BitsetEngine:
         # shrink down the tree, so these upper bounds power the exact
         # integer-only pre-filters of RR2 and RR4 at every node.
         root_degrees = [(row & vertices_bits).bit_count() for row in adj]
-        if self.config.engine == "trail":
-            self._run_trail(state, root_degrees)
-        else:
-            self._run_copy(state, root_degrees)
-
-    # -------------------------------------------------------------- #
-    def _run_trail(self, state: BitsetSearchState, root_degrees: List[int]) -> None:
-        """The undo-stack engine: one mutable state, cost proportional to change.
-
-        Stack frames carry the *plan* of the DFS, not state snapshots:
-        ``ENTER`` processes the node the state is currently positioned at,
-        ``EXCLUDE`` rewinds to the owning node's post-reduction mark and
-        performs the exclude branch, ``UNWIND`` rewinds to the owning
-        node's entry mark once both subtrees are explored.  Every frame's
-        rewind target was recorded while expanding the owning node, so an
-        interrupt (budget) can simply abandon the state.
-        """
-        stats = self.stats
         state.begin_trail()
-        # Removals vastly outnumber nodes in the trail engine (each is also
-        # rewound and redone along sibling branches), so per-removal edge
-        # maintenance loses to an on-demand, early-exit leaf test.
-        state.defer_edge_tracking()
         try:
-            self._trail_loop(state, root_degrees)
+            self._search(state, root_degrees)
         finally:
             # Budget interrupts abandon the state mid-rewind; the counters
             # must still reach the stats (the solve reports optimal=False).
-            stats.trail_pushes += state.trail_pushes
-            stats.trail_pops += state.trail_pops
+            self.stats.trail_pushes += state.trail_pushes
+            self.stats.trail_pops += state.trail_pops
 
-    def _trail_loop(self, state: BitsetSearchState, root_degrees: List[int]) -> None:
+    def _search(self, state: BitsetSearchState, root_degrees: List[int]) -> None:
         config = self.config
         stats = self.stats
         check_budget = self.check_budget
@@ -933,7 +815,6 @@ class BitsetEngine:
         use_ub1 = config.use_ub1
         use_ub2 = config.use_ub2
         use_ub3 = config.use_ub3
-        recolor_period = config.recolor_period
 
         # ENTER:   (tag, depth, rr1_mask, rr2_mask, rr5_mask, rr5_lb, classes, stale)
         # EXCLUDE: (tag, depth, branch_vertex, mark_red, rr5_lb, classes, stale)
@@ -941,7 +822,7 @@ class BitsetEngine:
         # The root starts at the staleness boundary so its first node is a
         # "heavy" node: full recolor plus the RR3/RR4 sweeps.
         stack: List[tuple] = [
-            (_F_ENTER, 1, _ALL_DIRTY, _ALL_DIRTY, _ALL_DIRTY, 0, None, recolor_period)
+            (_F_ENTER, 1, _ALL_DIRTY, _ALL_DIRTY, _ALL_DIRTY, 0, None, _RECOLOR_PERIOD)
         ]
         while stack:
             frame = stack.pop()
@@ -981,15 +862,14 @@ class BitsetEngine:
             # exclude transitions RR3 is deferred to the next staleness
             # boundary and RR4 scans only the removed vertex's neighbours —
             # the candidates whose pairwise bound the removal lowered.
-            recolor = stale >= recolor_period
+            recolor = stale >= _RECOLOR_PERIOD
             heavy = fresh_s or recolor or lb_rose
             worklist = ReductionWorklist(
                 rr1_mask, rr2_mask, rr5_mask,
                 rr3=heavy, rr4=_ALL_DIRTY if heavy else rr5_mask,
             )
             if bitset_apply_reductions(
-                state, config, lower_bound=lb_used, stats=stats,
-                worklist=worklist, root_degrees=root_degrees,
+                state, config, lb_used, worklist, stats, root_degrees=root_degrees,
             ):
                 state.rewind_to(mark0)
                 continue
@@ -1078,86 +958,6 @@ class BitsetEngine:
         for v in cand_list:
             degrees[v] = (adj_rows[v] & verts).bit_count()
         return degrees
-
-    # -------------------------------------------------------------- #
-    def _run_copy(self, state: BitsetSearchState, root_degrees: List[int]) -> None:
-        """The original copy-per-child engine (differential baseline)."""
-        config = self.config
-        stats = self.stats
-        check_budget = self.check_budget
-        trace = self.trace
-        # Stack frames: (state, depth, rr1_dirty, rr5_dirty).  Pushing the
-        # exclude branch below the include branch reproduces the recursive
-        # visit order, so both engines explore — and prune — identically.
-        stack: List[Tuple[BitsetSearchState, int, bool, bool]] = [(state, 1, True, True)]
-        while stack:
-            state, depth, rr1_dirty, rr5_dirty = stack.pop()
-            check_budget()
-            stats.nodes += 1
-            if depth > stats.max_depth:
-                stats.max_depth = depth
-            if trace is not None:
-                trace.append((state.solution_bits, state.cand_bits))
-
-            # Line 4: reduction rules.  The dirty flags encode how this state
-            # was reached (see bitset_apply_reductions): an exclude branch
-            # cannot re-enable RR1, an include branch with an unchanged
-            # incumbent cannot re-enable RR5.
-            lb_used = len(self.incumbent)
-            if bitset_apply_reductions(
-                state, config, lower_bound=lb_used, stats=stats,
-                rr1_dirty=rr1_dirty, rr5_dirty=rr5_dirty, root_degrees=root_degrees,
-            ):
-                continue
-
-            # Line 5: if the whole instance graph is a k-defective clique, record it.
-            if state.is_defective_clique():
-                stats.leaves += 1
-                self._record(state.graph_vertices())
-                continue
-
-            # Upper-bound pruning, cheapest bound first (no-op for kDC-t).
-            # UB2 needs no candidate scan at all; UB3 and UB1 reuse one
-            # materialised candidate list; the degree scan is deferred past
-            # all three bounds.
-            incumbent = len(self.incumbent)
-            if config.use_ub2 and bitset_ub2_min_degree(state) <= incumbent:
-                stats.prunes_by_bound += 1
-                continue
-            cand_list = state.candidate_list()
-            if config.use_ub3 and bitset_ub3_degree_sequence(state, cand_list) <= incumbent:
-                stats.prunes_by_bound += 1
-                continue
-
-            # One shared degree scan for UB1's coloring order and the
-            # branching rule (the state is not mutated in between).
-            # Recomputing the order from *current* instance degrees keeps UB1
-            # as tight as the set backend's; a static order was measured to
-            # cost far more nodes than the per-node sort saves.
-            degrees = self._degree_scan(state, cand_list)
-
-            if config.use_ub1 and bitset_ub1_improved_coloring(state, cand_list, degrees) <= incumbent:
-                stats.prunes_by_bound += 1
-                continue
-
-            # The partial solution S itself is a valid k-defective clique.
-            self._record(state.solution)
-
-            # Line 6: branching vertex via rule BR.
-            branching_vertex = bitset_select_branching_vertex(state, degrees, cand_list)
-            if branching_vertex is None:
-                continue
-
-            # Line 7/8: the include branch copies the state, the exclude
-            # branch mutates it in place (it is not needed otherwise).  The
-            # include branch changes no degree, so RR5 stays at its fixpoint
-            # unless the incumbent moved during this node; the exclude branch
-            # leaves S untouched, so RR1 (incumbent-independent) stays clean.
-            left = state.copy()
-            left.add_to_solution(branching_vertex)
-            state.remove_candidate(branching_vertex)
-            stack.append((state, depth + 1, False, True))
-            stack.append((left, depth + 1, True, len(self.incumbent) != lb_used))
 
     # -------------------------------------------------------------- #
     def _record(self, vertices: List[int]) -> None:

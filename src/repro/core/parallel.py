@@ -14,8 +14,7 @@ them to a :mod:`multiprocessing` pool:
   and the candidate filters everywhere else;
 * the best *vertices* stay worker-local and travel back to the parent with
   each finished batch, where they are merged into the caller's incumbent;
-* each worker solves its ego subproblems with the engine selected by
-  ``SolverConfig.engine`` (the trail undo-stack engine by default); the
+* each worker solves its ego subproblems with the bitset engine; the
   trail/worklist counters a batch collects are merged into the parent's
   :class:`~repro.core.result.SearchStats` with everything else.
 

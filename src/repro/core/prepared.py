@@ -23,10 +23,10 @@ This module splits the pipeline at a compile/execute boundary:
 A :class:`PreparedInstance` is specific to one ``(graph, k)`` pair plus the
 prepare-relevant configuration knobs (initial heuristic, RR5/RR6): the
 heuristic incumbent and the preprocessing both depend on ``k`` and on those
-flags.  Execute-side knobs (backend, engine, workers, budgets, UB/RR toggles
+flags.  Execute-side knobs (backend, workers, budgets, UB/RR toggles
 applied at search nodes) are *not* baked in — one artifact serves every
-backend × engine × workers cell, which is what lets the service answer a
-mixed query stream from a single per-``(graph, k)`` slot.
+backend × workers cell, which is what lets the service answer a mixed query
+stream from a single per-``(graph, k)`` slot.
 """
 
 from __future__ import annotations

@@ -59,9 +59,6 @@ class SearchStats:
     #: degraded to sequential by lost-worker recovery reports 1, so timing
     #: consumers never over-state parallelism.
     workers: int = 0
-    #: bitset engine that ran ("trail" or "copy"; "" when the bitset backend
-    #: never ran)
-    engine: str = ""
     #: trail engine: reversible deltas pushed onto the undo stack
     trail_pushes: int = 0
     #: trail engine: deltas popped while backtracking
@@ -113,7 +110,6 @@ class SearchStats:
             "subproblems_pruned": self.subproblems_pruned,
             "subproblems_restored": self.subproblems_restored,
             "workers": self.workers,
-            "engine": self.engine,
             "trail_pushes": self.trail_pushes,
             "trail_pops": self.trail_pops,
             "dirty_drained": self.dirty_drained,

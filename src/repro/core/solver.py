@@ -265,12 +265,9 @@ class _SolveRun:
         of :mod:`repro.core.decompose`) are split into per-vertex ego
         subproblems — across a worker pool when ``config.workers >= 2`` —
         and everything else is one whole-graph bitset search over the
-        artifact's packed rows.  Either way every branch-and-bound runs the
-        engine selected by ``config.engine`` ("trail" undo-stack engine by
-        default, "copy" for the copy-per-child baseline).
+        artifact's packed rows.
         """
         config = self.config
-        self.stats.engine = config.engine
         if prepared.working_n >= config.decompose_threshold and len(self.best) >= k + 1:
             if config.workers >= 2:
                 deadline = None

@@ -423,7 +423,6 @@ class IncrementalSolver:
         self._pending = None
 
         stats.backend = "bitset"
-        stats.engine = config.engine
         stats.elapsed_seconds = time.monotonic() - solve_started
         clique = sorted(
             (epoch.to_label[v] for v in incumbent),

@@ -11,8 +11,7 @@ a query-serving pipeline built on the compile/execute split of
 * :class:`~repro.service.scheduler.SolverService` — an asynchronous request
   scheduler that batches ``(digest, k, budget)`` queries onto a bounded
   worker pool, coalesces identical in-flight requests, and answers repeated
-  queries from a result cache keyed by ``(digest, k, algorithm, backend,
-  engine)``;
+  queries from a result cache keyed by ``(digest, k, algorithm, backend)``;
 * :mod:`~repro.service.server` / :mod:`~repro.service.client` — a stdlib
   JSON-lines TCP protocol (``repro serve``) and a :class:`Client` that
   speaks it either in-process (no socket, used by tests) or over a socket.

@@ -9,7 +9,7 @@ work at three levels:
    :class:`~repro.core.prepared.PreparedInstance` from the
    :class:`~repro.service.store.GraphStore`;
 2. **result cache** — once a query has been answered *optimally*, repeated
-   queries for the same ``(digest, k, algorithm, backend, engine)`` key are
+   queries for the same ``(digest, k, algorithm, backend)`` key are
    served from the cache without re-entering the search engine (the answer
    carries ``stats.cache_hit = True``).  Budget-limited (non-optimal)
    results are never cached, and the cache is LRU-bounded
@@ -86,9 +86,9 @@ logger = logging.getLogger("repro.service.scheduler")
 
 #: Result-cache key: optimal sizes depend only on the instance and the
 #: algorithm, but node/time profiles (and hence *which* optimum is found)
-#: depend on the backend and engine, so both are part of the key — one
-#: service answering mixed backend queries never conflates their results.
-_ResultKey = Tuple[str, int, str, str, str]
+#: depend on the backend, so it is part of the key — one service answering
+#: mixed backend queries never conflates their results.
+_ResultKey = Tuple[str, int, str, str]
 
 #: In-flight coalescing key: budgets (and the deadline) participate, because
 #: a tightly-budgeted query must not be answered by attaching to a
@@ -155,8 +155,8 @@ class SolverService:
         Graph store to serve from; a fresh private one when omitted.
     config:
         Execute configuration for ``algorithm="kDC"`` queries (backend,
-        engine, workers, ...).  Named variant queries inherit its
-        backend/engine/workers knobs on top of the variant's feature flags.
+        workers, ...).  Named variant queries inherit its backend/workers
+        knobs on top of the variant's feature flags.
     max_concurrency:
         Upper bound on simultaneously executing solves (default 4).
     max_pending:
@@ -252,8 +252,14 @@ class SolverService:
                            exc_info=True)
             return
         kept: "OrderedDict[_ResultKey, SolveResult]" = OrderedDict()
+        migrated = False
         for key, result in entries:
-            if len(key) != 5 or not result.optimal:
+            if len(key) == 5:
+                # Written when the key still ended in the bitset engine's
+                # name; optimal answers do not depend on it.
+                key = key[:4]
+                migrated = True
+            if len(key) != 4 or not result.optimal:
                 continue
             kept[key] = result
             kept.move_to_end(key)
@@ -262,9 +268,9 @@ class SolverService:
                 kept.popitem(last=False)
         self._results = kept
         self._restored_results = len(kept)
-        if len(kept) != len(entries):
-            # Journal had duplicates, damage or more entries than the cache
-            # keeps: compact it to exactly what was restored.
+        if migrated or len(kept) != len(entries):
+            # Journal had old-format keys, duplicates, damage or more entries
+            # than the cache keeps: compact it to exactly what was restored.
             try:
                 self._persistence.rewrite_results(list(kept.items()))
             except Exception:
@@ -278,8 +284,8 @@ class SolverService:
 
         ``"kDC"`` uses the service configuration as-is; other named variants
         take their feature flags from :func:`variant_config` and inherit the
-        service's execute-side knobs, so e.g. a bitset-trail service answers
-        ``kDC/UB1`` queries with the bitset trail engine too.
+        service's execute-side knobs, so e.g. a bitset service answers
+        ``kDC/UB1`` queries with the bitset backend too.
         """
         if algorithm == "kDC":
             return KDCSolver(self.config, name="kDC")
@@ -291,15 +297,13 @@ class SolverService:
         cfg = replace(
             cfg,
             backend=self.config.backend,
-            engine=self.config.engine,
             workers=self.config.workers,
             decompose_threshold=self.config.decompose_threshold,
-            recolor_period=self.config.recolor_period,
         )
         return KDCSolver(cfg, name=algorithm)
 
     def _result_key(self, digest: str, k: int, algorithm: str) -> _ResultKey:
-        return (digest, k, algorithm, self.config.backend, self.config.engine)
+        return (digest, k, algorithm, self.config.backend)
 
     # ------------------------------------------------------------------ #
     # Submission

@@ -54,8 +54,8 @@ __all__ = ["GraphStore"]
 logger = logging.getLogger("repro.service.store")
 
 #: Cache key of one prepared-artifact slot: the digest, ``k``, and the three
-#: prepare-relevant configuration knobs (everything else — backend, engine,
-#: workers, budgets — is execute-side and shares the artifact).
+#: prepare-relevant configuration knobs (everything else — backend, workers,
+#: budgets — is execute-side and shares the artifact).
 _PreparedKey = Tuple[str, int, str, bool, bool]
 
 

@@ -149,27 +149,17 @@ class TestHarnessWiring:
         assert record.backend == "bitset"
         assert record.as_dict()["backend"] == "bitset"
 
-    def test_make_solver_engine_override(self):
-        assert make_solver("kDC", engine="copy").config.engine == "copy"
-        assert make_solver("kDC").config.engine == "trail"
-
-    def test_make_solver_rejects_engine_for_baselines(self):
-        with pytest.raises(InvalidParameterError):
-            make_solver("KDBB", engine="trail")
-
-    def test_run_instance_records_engine_and_trail_counters(self):
+    def test_run_instance_records_trail_counters(self):
         g = gnp_random_graph(60, 0.3, seed=7)
-        record = run_instance("kDC", g, 2, time_limit=10.0, backend="bitset", engine="trail")
-        assert record.engine == "trail"
+        record = run_instance("kDC", g, 2, time_limit=10.0, backend="bitset")
         assert record.trail_pushes == record.trail_pops > 0
         data = record.as_dict()
-        for key in ("engine", "trail_pushes", "trail_pops", "dirty_drained",
+        for key in ("trail_pushes", "trail_pops", "dirty_drained",
                     "recolor_full", "recolor_repair"):
             assert key in data
-        copy_record = run_instance("kDC", g, 2, time_limit=10.0, backend="bitset", engine="copy")
-        assert copy_record.engine == "copy"
-        assert copy_record.trail_pushes == 0
-        assert record.size == copy_record.size
+        set_record = run_instance("kDC", g, 2, time_limit=10.0, backend="set")
+        assert set_record.trail_pushes == 0
+        assert record.size == set_record.size
 
     def test_run_instance_baseline_backend_empty(self):
         record = run_instance("KDBB", complete_graph(5), 1, time_limit=10.0)
@@ -193,22 +183,20 @@ class TestCLI:
         assert sizes["set"].split("|C|=")[1][:2] == sizes["bitset"].split("|C|=")[1][:2]
 
     def test_solve_with_engine_and_stats_flags(self, tmp_path, capsys):
+        """The bitset backend has one engine: ``--engine`` is rejected, ``--stats`` shows its counters."""
         from repro.cli import main
         from repro.graphs import write_edge_list
 
         g = gnp_random_graph(60, 0.3, seed=9)
         path = tmp_path / "g.edges"
         write_edge_list(g, path)
-        outputs = {}
-        for engine in ("copy", "trail"):
-            assert main([
-                "solve", str(path), "-k", "2",
-                "--backend", "bitset", "--engine", engine, "--stats",
-            ]) == 0
-            out = capsys.readouterr().out
-            assert f"engine: {engine}" in out
-            for counter in ("nodes:", "trail_pushes:", "dirty_drained:",
-                            "recolor_full:", "recolor_repair:"):
-                assert counter in out
-            outputs[engine] = out
-        assert outputs["copy"].split("|C|=")[1][:2] == outputs["trail"].split("|C|=")[1][:2]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", str(path), "-k", "2", "--engine", "trail"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        assert main(["solve", str(path), "-k", "2", "--backend", "bitset", "--stats"]) == 0
+        out = capsys.readouterr().out
+        for counter in ("nodes:", "trail_pushes:", "dirty_drained:",
+                        "recolor_full:", "recolor_repair:"):
+            assert counter in out
+        assert "engine:" not in out

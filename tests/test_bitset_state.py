@@ -59,18 +59,6 @@ class TestBitsetSearchState:
         assert state.last_added == 0
         assert len(state.solution) == 1
 
-    def test_copy_is_independent(self):
-        g = gnp_random_graph(12, 0.4, seed=4)
-        _, adj_bits, _ = _adjacency_pair(g)
-        state = BitsetSearchState.initial(adj_bits, k=1)
-        clone = state.copy()
-        clone.add_to_solution(1)
-        state.check_invariants()
-        clone.check_invariants()
-        assert state.solution == []
-        assert clone.solution == [1]
-        assert state.cand_bits != clone.cand_bits
-
     def test_detects_corrupted_counters(self):
         g = gnp_random_graph(10, 0.5, seed=5)
         _, adj_bits, _ = _adjacency_pair(g)

@@ -299,8 +299,7 @@ class TestCheckpointRobustness:
         a = checkpoint_meta("d", 2, "kDC", CONFIG)
         assert checkpoint_token(a) == checkpoint_token(dict(a))
         for field, value in [
-            ("digest", "e"), ("k", 3), ("algorithm", "kDC-t"),
-            ("engine", "copy"), ("backend", "set"),
+            ("digest", "e"), ("k", 3), ("algorithm", "kDC-t"), ("backend", "set"),
         ]:
             changed = dict(a)
             changed[field] = value

@@ -42,7 +42,7 @@ class TestParser:
         args = build_parser().parse_args(
             [
                 "experiments", "run", "--db", "x.sqlite", "--k", "1", "3",
-                "--backends", "bitset", "--engines", "trail", "copy",
+                "--backends", "bitset",
                 "--workers", "1", "2", "--max-cells", "5", "--no-resume",
             ]
         )
@@ -50,7 +50,6 @@ class TestParser:
         assert args.db == "x.sqlite"
         assert args.k == [1, 3]
         assert args.backends == ["bitset"]
-        assert args.engines == ["trail", "copy"]
         assert args.workers == [1, 2]
         assert args.max_cells == 5
         assert args.no_resume
@@ -81,6 +80,17 @@ class TestParser:
         assert args.backend == "bitset"
         assert args.host == "127.0.0.1"
         assert args.preload == []
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--engine", "trail"],
+        ["experiments", "run", "--engines", "trail"],
+    ])
+    def test_engine_flags_rejected(self, argv, capsys):
+        """The bitset backend has a single engine, so no command selects one."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCommands:

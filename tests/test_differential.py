@@ -1,18 +1,15 @@
 """Seeded randomized differential suite across the full backend matrix.
 
-Every cell of the backend x engine x decomposition x workers matrix
-implements the same exact algorithm, so on any instance all cells must
-return the *same optimal size* (the witness clique may differ, but each
-returned witness must be a valid k-defective clique of its size).  The
-matrix:
+Every cell of the backend x decomposition x workers matrix implements the
+same exact algorithm, so on any instance all cells must return the *same
+optimal size* (the witness clique may differ, but each returned witness
+must be a valid k-defective clique of its size).  The matrix:
 
-* ``set``                      — dict/set :class:`SearchState` backend;
-* ``bitset-copy/trail-whole``  — bitset backend, decomposition disabled,
-  one cell per engine (``copy`` baseline / ``trail`` undo-stack);
-* ``bitset-copy/trail-decomposed`` — degeneracy decomposition forced,
-  per engine;
-* ``workers-2/4``              — forced decomposition across 2/4 worker
-  processes (trail engine, the default);
+* ``set``               — dict/set :class:`SearchState` backend;
+* ``bitset-whole``      — bitset backend, decomposition disabled;
+* ``bitset-decomposed`` — degeneracy decomposition forced;
+* ``workers-2/4``       — forced decomposition across 2/4 worker
+  processes;
 * kDC-t variants               — the bare theoretical Algorithm 1 on both
   backends (exact as well, merely slower).
 
@@ -40,28 +37,15 @@ from repro.graphs import gnp_random_graph
 #: Sequential matrix cells: name -> config factory.
 SEQUENTIAL_CELLS = {
     "set": lambda: SolverConfig(backend="set"),
-    "bitset-copy-whole": lambda: SolverConfig(
-        backend="bitset", engine="copy", decompose_threshold=10**9
-    ),
-    "bitset-trail-whole": lambda: SolverConfig(
-        backend="bitset", engine="trail", decompose_threshold=10**9
-    ),
-    "bitset-copy-decomposed": lambda: SolverConfig(
-        backend="bitset", engine="copy", decompose_threshold=1
-    ),
-    "bitset-trail-decomposed": lambda: SolverConfig(
-        backend="bitset", engine="trail", decompose_threshold=1
-    ),
+    "bitset-whole": lambda: SolverConfig(backend="bitset", decompose_threshold=10**9),
+    "bitset-decomposed": lambda: SolverConfig(backend="bitset", decompose_threshold=1),
 }
 
 #: kDC-t (Algorithm 1) cells: exact but unpruned, so exponential on all but
 #: the smallest instances — compared on those only.
 KDC_T_CELLS = {
     "kDC-t-set": lambda: replace(variant_config("kDC-t"), backend="set"),
-    "kDC-t-bitset-copy": lambda: replace(
-        variant_config("kDC-t"), backend="bitset", engine="copy"
-    ),
-    "kDC-t-bitset-trail": lambda: replace(variant_config("kDC-t"), backend="bitset"),
+    "kDC-t-bitset": lambda: replace(variant_config("kDC-t"), backend="bitset"),
 }
 
 #: Parallel matrix cells (forced decomposition + worker pool).
@@ -128,7 +112,7 @@ class TestPreparedMatrix:
     For every sequential and worker cell, one artifact is prepared and
     executed twice, and both executes must return the same optimal size as
     two fresh ``solve`` calls — pinning the compile/execute split to the
-    classic path across backends, engines, decomposition and worker pools.
+    classic path across backends, decomposition and worker pools.
     """
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -197,9 +181,6 @@ class TestDeepDifferentialSweep:
     def test_large_decomposed_instances_agree(self, seed):
         graph = gnp_random_graph(160, 0.15, seed=seed)
         expected = _solve_size(graph, 3, SolverConfig(backend="set"))
-        decomposed_cells = {
-            name: SEQUENTIAL_CELLS[name]
-            for name in ("bitset-copy-decomposed", "bitset-trail-decomposed")
-        }
+        decomposed_cells = {"bitset-decomposed": SEQUENTIAL_CELLS["bitset-decomposed"]}
         for name, factory in {**WORKER_CELLS, **decomposed_cells}.items():
             assert _solve_size(graph, 3, factory()) == expected, name

@@ -4,7 +4,7 @@ The load-bearing suite here is the differential block: after *every* step
 of a seeded random delta sequence — including deltas engineered to shrink
 the optimum — the :class:`~repro.dynamic.incremental.IncrementalSolver`
 must agree exactly with a from-scratch solve of the same snapshot, across
-backend × engine × workers cells.
+backend × workers cells.
 """
 
 from __future__ import annotations
@@ -236,21 +236,18 @@ def optimum_shrinking_delta(graph, clique):
 
 
 CELLS = [
-    ("set", "copy", 1),
-    ("bitset", "copy", 1),
-    ("bitset", "trail", 1),
-    ("bitset", "trail", 2),
+    ("set", 1),
+    ("bitset", 1),
+    ("bitset", 2),
 ]
 
 
 class TestIncrementalSolverDifferential:
-    @pytest.mark.parametrize("backend,engine,workers", CELLS)
-    def test_matches_scratch_after_every_step(self, backend, engine, workers):
-        """The acceptance invariant, across backend/engine/workers cells."""
-        config = SolverConfig(
-            backend=backend, engine=engine, workers=workers, decompose_threshold=1
-        )
-        rng = random.Random(hash((backend, engine, workers)) & 0xFFFF)
+    @pytest.mark.parametrize("backend,workers", CELLS)
+    def test_matches_scratch_after_every_step(self, backend, workers):
+        """The acceptance invariant, across backend/workers cells."""
+        config = SolverConfig(backend=backend, workers=workers, decompose_threshold=1)
+        rng = random.Random(hash((backend, workers)) & 0xFFFF)
         graph = gnp_random_graph(45, 0.15, seed=11)
         k = 1
 

@@ -163,7 +163,6 @@ def smoke_spec():
         k_values=(1,),
         algorithms=("kDC",),
         backends=("set", "bitset"),
-        engines=("trail",),
         workers=(1,),
         time_limit=5.0,
         instance_limit=2,
@@ -173,15 +172,15 @@ def smoke_spec():
 class TestMatrixRunner:
     def test_grid_normalisation(self, smoke_spec):
         cells = smoke_spec.cell_keyfields(smoke_spec.instances())
-        assert len(cells) == 4  # 2 instances x {set(engine collapsed), bitset:trail}
-        set_cells = [c for c in cells if c["backend"] == "set"]
-        assert all(c["engine"] == "" for c in set_cells)
+        assert len(cells) == 4  # 2 instances x {set, bitset}
+        # The engine keyfield keeps the values older stores hold, so their
+        # (backend, engine) cells still pair with new runs.
+        assert {(c["backend"], c["engine"]) for c in cells} == {("set", ""), ("bitset", "trail")}
         baseline_spec = MatrixSpec(
             collections=("facebook_like",),
             algorithms=("kDC", "KDBB"),
             backends=("bitset",),
-            engines=("trail",),
-            instance_limit=1,
+                instance_limit=1,
         )
         cells = baseline_spec.cell_keyfields(baseline_spec.instances())
         kdbb = [c for c in cells if c["algorithm"] == "KDBB"]
@@ -196,8 +195,7 @@ class TestMatrixRunner:
             k_values=(2,),  # only k differs
             algorithms=("kDC",),
             backends=("set", "bitset"),
-            engines=("trail",),
-            workers=(1,),
+                workers=(1,),
             time_limit=5.0,
             instance_limit=2,
         )
@@ -377,7 +375,7 @@ class TestExperimentsCli:
             "--collections", "facebook_like", "--scale", "tiny",
             "--instance-limit", "1", "--k", "1",
             "--algorithms", "kDC", "--backends", "set", "bitset",
-            "--engines", "trail", "--workers", "1", "--time-limit", "5",
+            "--workers", "1", "--time-limit", "5",
             *extra,
         ]
 

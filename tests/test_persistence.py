@@ -114,7 +114,7 @@ class TestResultsJournal:
     def test_append_replay_round_trip(self, state_dir, graph):
         persistence = ServicePersistence(state_dir)
         result = self._solve(graph)
-        key = (graph.content_digest(), K, "kDC", "bitset", "trail")
+        key = (graph.content_digest(), K, "kDC", "bitset")
         persistence.append_result(key, result)
         persistence.append_result(key + ("other",), result)
         persistence.close()
@@ -313,6 +313,52 @@ class TestServiceWarmRestart:
             warm.close()
         # The trim was compacted back to disk: the next restart sees 2 entries.
         assert len(ServicePersistence(state_dir).replay_results()) == 2
+
+    def test_engine_keyed_results_journal_restores(self, state_dir, graph):
+        """A journal written when the result key ended in the engine name restores."""
+        from repro.core.solver import KDCSolver
+
+        digest = graph.content_digest()
+        result = KDCSolver(CONFIG).solve(graph, K)
+        result.stats.engine = "trail"  # a SearchStats field at the time
+        persistence = ServicePersistence(state_dir)
+        persistence.save_graph(digest, None, graph)
+        persistence.append_result((digest, K, "kDC", CONFIG.backend, "trail"), result)
+        persistence.close()
+
+        with SolverService(config=CONFIG, persistence=ServicePersistence(state_dir)) as warm:
+            assert warm.stats()["restored_results"] == 1
+            hit = warm.solve(digest, K)
+            assert hit.stats.cache_hit
+            assert hit.optimal and hit.size == result.size
+        # The journal was compacted to the current key format.
+        entries = ServicePersistence(state_dir).replay_results()
+        assert [key for key, _ in entries] == [(digest, K, "kDC", CONFIG.backend)]
+
+    def test_engine_named_checkpoint_starts_fresh(self, state_dir, graph):
+        """A checkpoint whose identity names the engine is a mismatch, never resumed."""
+        from repro.core.checkpoint import SolveCheckpoint, checkpoint_meta, checkpoint_token
+
+        digest = graph.content_digest()
+        meta = checkpoint_meta(digest, K, "kDC", CONFIG)
+        old_meta = dict(meta, engine="trail")
+        persistence = ServicePersistence(state_dir)
+        persistence.save_graph(digest, None, graph)
+        old_path = os.path.join(persistence.checkpoints_dir, f"{checkpoint_token(old_meta)}.wal")
+        old = SolveCheckpoint(old_path, old_meta)
+        old.record(0, [])
+        old.close()
+        persistence.close()
+
+        with SolverService(config=CONFIG, persistence=ServicePersistence(state_dir)) as service:
+            result = service.solve(digest, K)
+            assert result.optimal and result.stats.subproblems_restored == 0
+
+        reopened = SolveCheckpoint(old_path, meta)
+        try:
+            assert reopened.completed == set()
+        finally:
+            reopened.close()
 
     def test_replay_failure_starts_cold(self, state_dir, graph, caplog):
         with SolverService(config=CONFIG, persistence=ServicePersistence(state_dir)) as service:

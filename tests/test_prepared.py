@@ -126,13 +126,13 @@ class TestSolvePrepared:
             theoretical.solve_prepared(prepared)
 
     def test_execute_side_knobs_share_one_artifact(self, graph):
-        # backend/engine/workers are execute-side: one artifact serves them all
+        # backend/workers are execute-side: one artifact serves them all
         prepared = prepare_instance(graph, 2)
         expected = KDCSolver().solve(graph, 2).size
         for config in (
             SolverConfig(backend="set"),
-            SolverConfig(backend="bitset", engine="copy", decompose_threshold=1),
-            SolverConfig(backend="bitset", engine="trail", decompose_threshold=10**9),
+            SolverConfig(backend="bitset", decompose_threshold=1),
+            SolverConfig(backend="bitset", decompose_threshold=10**9),
         ):
             result = KDCSolver(config).solve_prepared(prepared)
             assert result.optimal and result.size == expected, config
