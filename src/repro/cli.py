@@ -656,7 +656,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"state restored from {args.state_dir}: "
             f"{counters['restored_graphs']} graph(s), "
             f"{counters['restored_prepared']} prepared artifact(s), "
-            f"{counters['restored_results']} cached result(s)",
+            f"{counters['restored_results']} cached result(s)"
+            + (f", {counters['migrated_digests']} graph digest(s) migrated"
+               if counters["migrated_digests"] else ""),
             flush=True,
         )
     for path in args.preload:

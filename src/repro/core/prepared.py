@@ -220,6 +220,7 @@ def prepare_instance(
     budget_check: Optional[Callable[[], None]] = None,
     on_heuristic: Optional[Callable[[List[int], List[Vertex]], None]] = None,
     compute_digest: bool = True,
+    digest: Optional[str] = None,
 ) -> PreparedInstance:
     """Run the prepare phase once and freeze it into a :class:`PreparedInstance`.
 
@@ -243,15 +244,21 @@ def prepare_instance(
         post-heuristic budget poll — the hook ``KDCSolver.solve`` uses to
         keep the partial incumbent when a budget fires during preprocessing.
     compute_digest:
-        When ``False`` the (sort-the-edges) content digest is skipped and
-        :attr:`PreparedInstance.digest` is ``""`` — used by the throwaway
-        artifacts of the plain ``solve`` wrapper, which never cache.
+        When ``False`` the content digest (a full pass over the graph) is
+        skipped and :attr:`PreparedInstance.digest` is ``""`` — used by the
+        throwaway artifacts of the plain ``solve`` wrapper, which never
+        cache.
+    digest:
+        ``graph``'s content digest when the caller already holds it, as the
+        service's graph store does for the graphs it keys; it is used as is
+        and not recomputed.
     """
     validate_k(k)
     if config is None:
         config = SolverConfig()
     start = time.perf_counter()
-    digest = graph.content_digest() if compute_digest else ""
+    if digest is None:
+        digest = graph.content_digest() if compute_digest else ""
 
     relabeled, _, to_label = graph.relabel()
     heuristic = initial_solution(

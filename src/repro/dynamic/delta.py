@@ -2,10 +2,12 @@
 
 A dynamic graph evolves by :class:`EdgeDelta` batches — edge additions and
 removals applied atomically.  :func:`apply_delta` turns a snapshot into its
-successor (and the successor's content digest, which is how the service's
-digest chain is built), and :func:`affected_anchors` answers the question
-the incremental solver lives on: *which ego subproblems of the previous
-solve could a delta have invalidated?*
+successor and the successor's content digest, which is how the service's
+digest chain is built; the digest follows from the predecessor's in
+O(sum of the touched vertices' degrees).  :func:`apply_delta_in_place`
+changes a graph the caller owns instead.  :func:`affected_anchors` answers
+the question the incremental solver lives on: *which ego subproblems of the
+previous solve could a delta have invalidated?*
 
 Why only **added** edges invalidate anchors
 -------------------------------------------
@@ -37,12 +39,12 @@ optimum is still the optimum among all *old* solutions).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..exceptions import InvalidParameterError, SelfLoopError
+from ..exceptions import EdgeNotFoundError, InvalidParameterError, SelfLoopError
 from ..graphs.graph import Edge, Graph, Vertex
 
-__all__ = ["EdgeDelta", "affected_anchors", "apply_delta"]
+__all__ = ["EdgeDelta", "affected_anchors", "apply_delta", "apply_delta_in_place"]
 
 
 def _canonical_edge(edge: Sequence[Vertex]) -> Edge:
@@ -144,23 +146,43 @@ class EdgeDelta:
 def apply_delta(graph: Graph, delta: EdgeDelta) -> Tuple[Graph, str]:
     """Return ``(successor, successor_digest)`` for ``graph`` under ``delta``.
 
-    ``graph`` is never modified.  Validation is strict — adding an edge that
-    already exists raises :class:`~repro.exceptions.InvalidParameterError`
-    and removing one that does not exist raises
-    :class:`~repro.exceptions.EdgeNotFoundError` — so a delta that does not
-    describe a real transition fails loudly instead of silently producing a
-    digest chain that skips states.
+    ``graph`` is never modified: the successor is a copy changed by
+    :func:`apply_delta_in_place`, with the same strict validation.  The
+    copy keeps ``graph``'s digest sum, so when ``graph`` has been digested
+    (or is itself a successor) the successor's digest costs only the
+    re-hashed rows of the delta's endpoints, O(sum of their degrees); a
+    graph never digested makes the successor's digest a full one.
     """
     successor = graph.copy()
+    digest = apply_delta_in_place(successor, delta)
+    if digest is None:
+        digest = successor.content_digest()
+    return successor, digest
+
+
+def apply_delta_in_place(graph: Graph, delta: EdgeDelta) -> Optional[str]:
+    """Apply ``delta`` to ``graph`` itself; return its new digest when known.
+
+    Validation is strict and happens before any change — adding an edge
+    that already exists raises
+    :class:`~repro.exceptions.InvalidParameterError` and removing one that
+    does not exist raises :class:`~repro.exceptions.EdgeNotFoundError` — so
+    a delta that does not describe a real transition fails loudly instead
+    of silently producing a digest chain that skips states, and leaves
+    ``graph`` as it was.  The digest comes back only when ``graph`` carried
+    its digest sum (see :meth:`Graph.update_edges`); otherwise ``None``.
+    ``graph.update_edges(delta.removes, delta.adds)`` undoes a delta whose
+    adds created no vertices.
+    """
     for u, v in delta.removes:
-        successor.remove_edge(u, v)  # EdgeNotFoundError on a missing edge
+        if not graph.has_edge(u, v):
+            raise EdgeNotFoundError(u, v)
     for u, v in delta.adds:
-        if successor.has_edge(u, v):
+        if graph.has_edge(u, v):
             raise InvalidParameterError(
                 f"delta adds edge ({u!r}, {v!r}) which already exists"
             )
-        successor.add_edge(u, v)
-    return successor, successor.content_digest()
+    return graph.update_edges(delta.adds, delta.removes)
 
 
 def affected_anchors(

@@ -33,6 +33,10 @@ Exactness is non-negotiable and rests on three guards, all enforced here:
 When the affected set grows past ``max_affected_fraction`` of the vertices
 the incremental route would do most of a full solve's work anyway, so the
 solver falls back (and re-establishes a fresh epoch while it is at it).
+
+Each delta goes into the epoch's relabeled graph in place, and is swapped
+back out whenever the route does not commit (a fallback or an exception),
+so the epoch never drifts from the snapshot it describes.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from ..exceptions import BudgetExceededError, InvalidParameterError
 from ..graphs.degeneracy import degeneracy_ordering
 from ..graphs.graph import Graph, Vertex
 from ..testing import chaos as faults
-from .delta import EdgeDelta, affected_anchors, apply_delta
+from .delta import EdgeDelta, affected_anchors, apply_delta, apply_delta_in_place
 
 logger = logging.getLogger(__name__)
 
@@ -113,7 +117,7 @@ class _Epoch:
     """Reusable state from the last successful *optimal* solve."""
 
     digest: str
-    graph: Graph                      # relabeled successor of the epoch's solves
+    graph: Graph                      # relabeled graph of `digest`; changed in place
     to_int: Dict[Vertex, int]
     to_label: List[Vertex]            # to_label[i] recovers the original label
     ordering: Tuple[int, ...]         # fixed total order over ALL epoch vertices
@@ -231,12 +235,15 @@ class IncrementalSolver:
         self._install(snapshot, snapshot.content_digest(), k, result)
         return result
 
-    def seed(self, graph: Graph, k: int, result: SolveResult) -> None:
+    def seed(
+        self, graph: Graph, k: int, result: SolveResult, digest: Optional[str] = None
+    ) -> None:
         """Adopt an existing **optimal** result for ``graph`` as the epoch.
 
         Lets the service reuse a solve it already paid for instead of
         re-solving just to start tracking.  The witness is re-validated
-        against the graph before anything trusts it.
+        against the graph before anything trusts it.  ``digest``, when the
+        caller already holds ``graph``'s content digest, saves computing it.
         """
         if not result.optimal:
             raise InvalidParameterError("seed() requires an optimal result")
@@ -245,7 +252,9 @@ class IncrementalSolver:
         if result.clique and not is_k_defective_clique(graph, result.clique, k):
             raise InvalidParameterError("seed() witness is not a valid k-defective clique")
         snapshot = graph.copy()
-        self._install(snapshot, snapshot.content_digest(), k, result)
+        if digest is None:
+            digest = snapshot.content_digest()
+        self._install(snapshot, digest, k, result)
 
     def _install(self, snapshot: Graph, digest: str, k: int, result: SolveResult) -> None:
         self._graph = snapshot
@@ -277,6 +286,8 @@ class IncrementalSolver:
         self,
         delta: EdgeDelta,
         *,
+        successor: Optional[Graph] = None,
+        digest: Optional[str] = None,
         time_limit: Optional[float] = None,
         cancel=None,
     ) -> DeltaSolveReport:
@@ -288,21 +299,27 @@ class IncrementalSolver:
         injected fault — no state is committed: the solver still tracks the
         predecessor, and retrying the *same* delta resumes from the journal
         of completed anchors instead of restarting.
+
+        A caller that has already built the successor — the service's graph
+        store does — passes it with its ``digest``; the solver then keeps a
+        reference to it (so it must never be mutated) instead of building
+        its own copy.
         """
         if self._graph is None or self._k is None:
             raise InvalidParameterError("no graph tracked yet; call solve() first")
+        if (successor is None) != (digest is None):
+            raise InvalidParameterError("pass successor and digest together")
         started = time.monotonic()
         parent_digest = self._digest
-        successor, succ_digest = apply_delta(self._graph, delta)
+        if successor is None:
+            successor, digest = apply_delta(self._graph, delta)
         k = self._k
 
         check_budget = self._budget(started, time_limit, cancel)
-        report = self._try_incremental(
-            successor, succ_digest, delta, check_budget
-        )
+        report = self._try_incremental(successor, digest, delta, check_budget)
         if report is None or report.fallback_reason is not None:
             reason = report.fallback_reason if report is not None else "no-epoch"
-            report = self._full_apply(successor, succ_digest, k, reason, check_budget)
+            report = self._full_apply(successor, digest, k, reason, check_budget)
         report.parent_digest = parent_digest or ""
         report.elapsed_seconds = time.monotonic() - started
         return report
@@ -354,37 +371,60 @@ class IncrementalSolver:
         """The affected-anchors route, or a fallback-tagged report when a
         guard fails (``None`` only when there is no epoch at all)."""
         epoch = self._epoch
-        k = self._k
         if epoch is None:
             return None
-
-        def fallback(reason: str) -> DeltaSolveReport:
-            return DeltaSolveReport(
-                result=self._last_result,  # placeholder; _full_apply replaces
-                digest=succ_digest,
-                parent_digest="",
-                incremental=False,
-                fallback_reason=reason,
-            )
-
         try:
             rel_delta = delta.relabel(epoch.to_int)
         except KeyError:
-            return fallback("new-vertex")
+            return self._fallback(succ_digest, "new-vertex")
 
-        rel_successor, _ = apply_delta(epoch.graph, rel_delta)
+        # The epoch owns its relabeled graph, so the delta goes into it in
+        # place; every exit short of a commit (fallback or exception) swaps
+        # it back out, leaving the epoch on the predecessor.
+        apply_delta_in_place(epoch.graph, rel_delta)
+        report = None
+        try:
+            report = self._resolve_affected(
+                epoch, rel_delta, successor, succ_digest, check_budget
+            )
+        finally:
+            if report is None or not report.incremental:
+                epoch.graph.update_edges(rel_delta.removes, rel_delta.adds)
+        return report
+
+    def _fallback(self, succ_digest: str, reason: str) -> DeltaSolveReport:
+        return DeltaSolveReport(
+            result=self._last_result,  # placeholder; _full_apply replaces
+            digest=succ_digest,
+            parent_digest="",
+            incremental=False,
+            fallback_reason=reason,
+        )
+
+    def _resolve_affected(
+        self,
+        epoch: _Epoch,
+        rel_delta: EdgeDelta,
+        successor: Graph,
+        succ_digest: str,
+        check_budget: Callable[[], None],
+    ) -> DeltaSolveReport:
+        """Re-solve the anchors ``rel_delta`` affects on ``epoch.graph``, which
+        already carries it: commit and report, or report a fallback."""
+        k = self._k
+        rel_successor = epoch.graph
         n = len(epoch.ordering)
 
         # Guard 1: the previous optimum must survive as a valid witness.
         best = epoch.best
         if len(best) < k + 1:
-            return fallback("incumbent-below-k+1")
+            return self._fallback(succ_digest, "incumbent-below-k+1")
         if self._missing_edges(rel_successor, best) > k:
-            return fallback("witness-broken")
+            return self._fallback(succ_digest, "witness-broken")
 
         affected = affected_anchors(rel_successor, epoch.position, rel_delta, k)
         if len(affected) > self.max_affected_fraction * n:
-            return fallback(f"affected-{len(affected)}-of-{n}")
+            return self._fallback(succ_digest, f"affected-{len(affected)}-of-{n}")
 
         faults.fire(
             "dynamic.resolve",

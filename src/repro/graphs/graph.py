@@ -10,11 +10,45 @@ Only simple graphs are supported: self-loops raise
 :class:`~repro.exceptions.SelfLoopError` and parallel edges are silently
 collapsed (adding an existing edge is a no-op), matching the paper's setting
 of unweighted, undirected simple graphs.
+
+Content digest
+--------------
+:meth:`Graph.content_digest` is the graph's cache key (graphs are mutable,
+so ``__hash__`` refuses).  It is an order-independent multiset hash over
+vertex *rows*, incremental in the sense of Bellare and Micciancio (1997),
+"A new paradigm for collision-free hashing: incrementality at reduced cost":
+
+* every vertex label becomes a canonical token ``"<type>:<repr>"`` in
+  UTF-8, prefixed by its byte length (8 bytes, big-endian), so no
+  concatenation of tokens can be read two ways;
+* the row of ``v`` is SHAKE-256 with a 2048-bit output over ``v``'s token
+  followed by its neighbours' tokens in sorted byte order, read as an
+  integer;
+* the rows are summed modulo 2^2048, and the digest is the SHA-256 of a
+  version tag followed by the sum, still 64 hex characters.
+
+Rows, not edges: the multiset of rows determines the graph (isolated
+vertices included), and there are n of them against n + m edge and vertex
+tokens, so a full digest hashes fewer, longer inputs.  The modulus is that
+large because the digest keys cached answers and must hold up against
+hostile input: an XOR of element hashes falls to linear algebra and a sum
+modulo 2^256 to Wagner's generalized-birthday attack (2002).  The version
+tag changes whenever the format does (this is version 2; version 1 hashed
+the sorted vertex and edge lists), so a digest of one format never passes
+for the other.
+
+The sum is what makes a successor's digest cheap.  ``content_digest()``
+leaves it on the graph; :meth:`Graph.copy` carries it, every other mutator
+drops it, and pickling leaves it out.  :meth:`Graph.update_edges` moves a
+kept sum by subtracting the old rows of the vertices a batch of edge
+changes touches and adding their new rows, which costs O(sum of the
+touched vertices' degrees) instead of a pass over all m edges.
 """
 
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from ..exceptions import EdgeNotFoundError, GraphError, SelfLoopError, VertexNotFoundError
@@ -23,6 +57,31 @@ Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
 
 __all__ = ["Graph", "Vertex", "Edge"]
+
+#: Hashed ahead of the row sum in every content digest; a new row format gets
+#: a new tag, so digests of two formats never coincide.
+_DIGEST_VERSION = b"repro.graph.content-digest/2\x00"
+_ROW_BYTES = 256  # SHAKE-256 output per row: 2048 bits
+_ROW_MASK = (1 << (8 * _ROW_BYTES)) - 1
+
+
+def _token(vertex: Vertex) -> bytes:
+    """Length-prefixed canonical token of one vertex label.
+
+    The type name is folded in because labels of different types can share
+    a ``repr``.
+    """
+    raw = f"{type(vertex).__name__}:{vertex!r}".encode("utf-8")
+    return len(raw).to_bytes(8, "big") + raw
+
+
+def _row_hash(token: bytes, neighbour_tokens: Iterable[bytes]) -> int:
+    data = token + b"".join(sorted(neighbour_tokens))
+    return int.from_bytes(hashlib.shake_256(data).digest(_ROW_BYTES), "little")
+
+
+def _finish(total: int) -> str:
+    return hashlib.sha256(_DIGEST_VERSION + total.to_bytes(_ROW_BYTES, "little")).hexdigest()
 
 
 class Graph:
@@ -47,7 +106,7 @@ class Graph:
     [0, 2]
     """
 
-    __slots__ = ("_adj", "_num_edges")
+    __slots__ = ("_adj", "_num_edges", "_digest_sum")
 
     def __init__(
         self,
@@ -56,6 +115,8 @@ class Graph:
     ) -> None:
         self._adj: Dict[Vertex, Set[Vertex]] = {}
         self._num_edges: int = 0
+        # Row sum behind content_digest() while the content is unchanged.
+        self._digest_sum: Optional[int] = None
         if vertices is not None:
             for v in vertices:
                 self.add_vertex(v)
@@ -100,11 +161,26 @@ class Graph:
         return cls(vertices=range(n))
 
     def copy(self) -> "Graph":
-        """Return a deep copy of the graph (labels are shared, sets are not)."""
+        """Return a deep copy of the graph (labels are shared, sets are not).
+
+        The copy keeps the digest sum, so it digests without a full pass.
+        """
         g = Graph.__new__(Graph)
         g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
         g._num_edges = self._num_edges
+        g._digest_sum = self._digest_sum
         return g
+
+    # Pickles hold the content only: the same state layout as a graph pickled
+    # before the digest sum existed, so snapshots load both ways.
+    def __getstate__(self) -> Tuple[None, Dict[str, object]]:
+        return None, {"_adj": self._adj, "_num_edges": self._num_edges}
+
+    def __setstate__(self, state: Tuple[None, Dict[str, object]]) -> None:
+        _, slots = state
+        self._adj = slots["_adj"]
+        self._num_edges = slots["_num_edges"]
+        self._digest_sum = None
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -144,13 +220,6 @@ class Graph:
             "for a canonical content key"
         )
 
-    @staticmethod
-    def _canonical_token(vertex: Vertex) -> str:
-        # repr alone cannot be trusted across types (repr(1) == repr(1) is
-        # fine, but distinct labels of different types could collide), so the
-        # type name is folded in.
-        return f"{type(vertex).__name__}:{vertex!r}"
-
     def content_digest(self) -> str:
         """Return a canonical SHA-256 hex digest of the graph's content.
 
@@ -162,26 +231,28 @@ class Graph:
         solver service's graph store key prepared artifacts and result
         caches by it.
 
-        Vertices are canonicalised as ``"<type>:<repr>"`` strings, so the
-        digest is defined for arbitrary (even unorderable, mixed-type)
-        hashable labels as long as their ``repr`` is stable — true for the
-        ints and strings produced by every loader in :mod:`repro.graphs.io`.
+        The digest is SHA-256 over a version tag and the sum, modulo
+        2^2048, of one SHAKE-256 row hash per vertex: the vertex's
+        length-prefixed ``"<type>:<repr>"`` token followed by its
+        neighbours' tokens in sorted order (see the module docstring for
+        why rows and why 2^2048).  Labels therefore need not be orderable
+        or of one type, only of stable ``repr`` — true for the ints and
+        strings produced by every loader in :mod:`repro.graphs.io`.
+
+        This is the one full computation, O(n + m log Δ).  It leaves the
+        row sum on the graph: a later call finishes it in O(1), and
+        :meth:`update_edges` moves it in O(sum of touched degrees).
         """
-        h = hashlib.sha256()
-        for token in sorted(self._canonical_token(v) for v in self._adj):
-            h.update(token.encode("utf-8"))
-            h.update(b"\x00")
-        h.update(b"\x01")  # domain separator: vertex section / edge section
-        edge_tokens = []
-        for u, v in self.iter_edges():
-            a, b = self._canonical_token(u), self._canonical_token(v)
-            edge_tokens.append((a, b) if a <= b else (b, a))
-        for a, b in sorted(edge_tokens):
-            h.update(a.encode("utf-8"))
-            h.update(b"\x1f")
-            h.update(b.encode("utf-8"))
-            h.update(b"\x00")
-        return h.hexdigest()
+        total = self._digest_sum
+        if total is None:
+            tokens = {v: _token(v) for v in self._adj}
+            total = self._rows_sum(self._adj, tokens.__getitem__) & _ROW_MASK
+            self._digest_sum = total
+        return _finish(total)
+
+    def _rows_sum(self, vertices: Iterable[Vertex], token_of=_token) -> int:
+        adj = self._adj
+        return sum(_row_hash(token_of(v), map(token_of, adj[v])) for v in vertices)
 
     # ------------------------------------------------------------------ #
     # Vertex operations
@@ -198,6 +269,7 @@ class Graph:
         """Add ``vertex`` to the graph (no-op if already present)."""
         if vertex not in self._adj:
             self._adj[vertex] = set()
+            self._digest_sum = None
 
     def add_vertices(self, vertices: Iterable[Vertex]) -> None:
         """Add every vertex from ``vertices``."""
@@ -219,6 +291,7 @@ class Graph:
         for u in nbrs:
             self._adj[u].discard(vertex)
         self._num_edges -= len(nbrs)
+        self._digest_sum = None
 
     def remove_vertices(self, vertices: Iterable[Vertex]) -> None:
         """Remove every vertex in ``vertices`` (each must be present)."""
@@ -266,6 +339,7 @@ class Graph:
             self._adj[u].add(v)
             self._adj[v].add(u)
             self._num_edges += 1
+            self._digest_sum = None
 
     def add_edges(self, edges: Iterable[Edge]) -> None:
         """Add every edge from ``edges``."""
@@ -285,11 +359,57 @@ class Graph:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
         self._num_edges -= 1
+        self._digest_sum = None
 
     def remove_edges(self, edges: Iterable[Edge]) -> None:
         """Remove every edge in ``edges`` (each must be present)."""
         for u, v in list(edges):
             self.remove_edge(u, v)
+
+    def update_edges(
+        self, adds: Iterable[Edge] = (), removes: Iterable[Edge] = ()
+    ) -> Optional[str]:
+        """Remove ``removes``, then add ``adds``, as one batch.
+
+        Validation comes first, so a failing batch changes nothing: a
+        missing removed edge raises
+        :class:`~repro.exceptions.EdgeNotFoundError` and a self-loop
+        :class:`~repro.exceptions.SelfLoopError`.  Adds may create vertices
+        and adding an existing edge is a no-op, as with :meth:`add_edge`.
+
+        When the graph carries the digest sum of :meth:`content_digest`,
+        the sum follows the batch: the touched vertices' rows are re-hashed
+        before and after, and the new digest is returned.  Otherwise the
+        return value is ``None`` and the next digest is a full one.
+        The swapped batch ``update_edges(removes, adds)`` undoes one whose
+        adds were absent edges between existing vertices, digest included.
+        """
+        adds = list(adds)
+        removes = list(removes)
+        adj = self._adj
+        for u, v in removes:
+            if u not in adj or v not in adj[u]:
+                raise EdgeNotFoundError(u, v)
+        for u, v in adds:
+            if u == v:
+                raise SelfLoopError(u)
+        total = self._digest_sum
+        if total is not None:
+            touched = set(chain.from_iterable(chain(adds, removes)))
+            total -= self._rows_sum(touched.intersection(adj))
+            self._digest_sum = None  # until the new rows are in
+        for u, v in removes:
+            if v in adj[u]:
+                adj[u].discard(v)
+                adj[v].discard(u)
+                self._num_edges -= 1
+        for u, v in adds:
+            self.add_edge(u, v)
+        if total is None:
+            return None
+        total = (total + self._rows_sum(touched)) & _ROW_MASK
+        self._digest_sum = total
+        return _finish(total)
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         """Return ``True`` if the undirected edge ``(u, v)`` exists."""
@@ -355,6 +475,7 @@ class Graph:
         g = Graph.__new__(Graph)
         g._adj = {v: self._adj[v] & keep for v in keep}
         g._num_edges = sum(len(nbrs) for nbrs in g._adj.values()) // 2
+        g._digest_sum = None
         return g
 
     def relabel(self) -> Tuple["Graph", Dict[Vertex, int], List[Vertex]]:
@@ -374,6 +495,7 @@ class Graph:
             to_int[v]: {to_int[u] for u in nbrs} for v, nbrs in self._adj.items()
         }
         g._num_edges = self._num_edges
+        g._digest_sum = None
         return g, to_int, to_label
 
     def complement(self) -> "Graph":

@@ -35,6 +35,13 @@ pattern:
     one surviving ancestor snapshot.  Same damaged-tail truncation policy
     as ``results.wal``.
 
+Digests are computed, not trusted: :class:`~repro.service.store.GraphStore`
+re-digests every graph snapshot it restores.  A state directory written
+under an older digest format therefore restores under current digests, and
+:meth:`ServicePersistence.migrate_digests` moves everything keyed by the old
+ones (snapshots, both journals' keys and links) across and drops the
+checkpoint journals they named.
+
 Every load path is defensive: an unreadable snapshot or journal entry is
 skipped with a warning — durable state accelerates a restart, it must never
 prevent one.  Write paths *raise* (the callers in
@@ -45,13 +52,14 @@ killing requests).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import logging
 import os
 import pickle
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..core.checkpoint import (
     SolveCheckpoint,
@@ -126,7 +134,11 @@ class ServicePersistence:
         atomic_write_bytes(path, blob)
 
     def load_graphs(self) -> Iterator[Tuple[str, Optional[str], Graph]]:
-        """Yield ``(digest, name, graph)`` for every readable graph snapshot."""
+        """Yield ``(digest, name, graph)`` for every readable graph snapshot.
+
+        ``digest`` is the one in the filename, which a snapshot written
+        under an older digest format does not share with its graph.
+        """
         for filename in sorted(os.listdir(self.graphs_dir)):
             if not filename.endswith(".pkl"):
                 continue  # stale *.tmp.* files from a crash mid-publish
@@ -291,6 +303,81 @@ class ServicePersistence:
             )
             self._deltas_fh.flush()
             os.fsync(self._deltas_fh.fileno())
+
+    def rewrite_deltas(self, entries: List[Tuple[str, str, Optional[str], Tuple, Tuple]]) -> None:
+        """Atomically replace the delta journal with ``entries`` (compaction)."""
+        buffer = io.BytesIO()
+        for entry in entries:
+            append_record(buffer, pickle.dumps(tuple(entry), protocol=pickle.HIGHEST_PROTOCOL))
+        with self._lock:
+            if self._deltas_fh is not None:
+                self._deltas_fh.close()
+                self._deltas_fh = None
+            atomic_write_bytes(self.deltas_path, buffer.getvalue())
+            self._deltas_validated = True
+
+    # ------------------------------------------------------------------ #
+    # Digest-format upgrade
+    # ------------------------------------------------------------------ #
+    def migrate_digests(
+        self,
+        renamed: Mapping[str, str],
+        deltas: List[Tuple[str, str, Optional[str], Tuple, Tuple]],
+    ) -> None:
+        """Re-key on-disk state from old digests to current ones.
+
+        ``renamed`` maps each digest a restore found in a filename or a
+        journal to the digest its graph has now; ``deltas`` is the delta
+        journal as the restore re-linked it, already in current digests.
+        Prepared snapshots are re-keyed, the delta journal is rewritten
+        with ``deltas``, results-journal keys are mapped, checkpoint
+        journals named by an old digest are deleted (they could only start
+        fresh), and the graph snapshots are renamed last: until a rename is
+        durable the old filename stays behind, and the next restore finds
+        the same mapping and finishes the job.
+        """
+        for filename in sorted(os.listdir(self.prepared_dir)):
+            if not filename.endswith(".pkl"):
+                continue
+            path = os.path.join(self.prepared_dir, filename)
+            try:
+                with open(path, "rb") as fh:
+                    key, artifact = pickle.load(fh)
+            except Exception:
+                continue  # load_prepared already warned about it
+            new = renamed.get(key[0])
+            if new is None:
+                continue
+            self.save_prepared(
+                (new,) + tuple(key[1:]), dataclasses.replace(artifact, digest=new)
+            )
+            os.remove(path)
+        self.rewrite_deltas(deltas)
+        results = [
+            ((renamed.get(key[0], key[0]),) + tuple(key[1:]), result)
+            for key, result in self.replay_results()
+        ]
+        self.rewrite_results(results)
+        for filename in sorted(os.listdir(self.checkpoints_dir)):
+            path = os.path.join(self.checkpoints_dir, filename)
+            if not filename.endswith(".wal"):
+                continue
+            records = read_records(path).records
+            try:
+                _, meta = pickle.loads(records[0])
+                stale = meta["digest"] in renamed
+            except Exception:
+                stale = False  # SolveCheckpoint decides on open
+            if stale:
+                os.remove(path)
+        for old, new in renamed.items():
+            old_path, new_path = self._graph_path(old), self._graph_path(new)
+            if not os.path.exists(old_path):
+                continue
+            if os.path.exists(new_path):
+                os.remove(old_path)
+            else:
+                os.replace(old_path, new_path)
 
     # ------------------------------------------------------------------ #
     # Solve checkpoints

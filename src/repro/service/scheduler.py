@@ -737,7 +737,7 @@ class SolverService:
                 faults.fire("dynamic.resolve", digest=digest, k=k,
                             algorithm=algorithm, steps=len(chain))
                 report = None
-                for _, delta in chain:
+                for succ_digest, delta in chain:
                     step_limit = time_limit
                     if deadline_at is not None:
                         remaining = deadline_at - time.monotonic()
@@ -745,8 +745,15 @@ class SolverService:
                             return None  # normal path raises the typed error
                         if step_limit is None or remaining < step_limit:
                             step_limit = remaining
+                    # The store already built (and digested) the successor;
+                    # an LRU-evicted one is rebuilt from the delta instead.
+                    try:
+                        successor = self.store.get(succ_digest)
+                    except UnknownGraphError:
+                        successor, succ_digest = None, None
                     report = state.apply(
-                        delta, time_limit=step_limit, cancel=entry.cancel
+                        delta, successor=successor, digest=succ_digest,
+                        time_limit=step_limit, cancel=entry.cancel,
                     )
                     reused += report.anchors_reused
                     resolved += report.anchors_resolved
@@ -788,7 +795,7 @@ class SolverService:
                         checkpoint_dir=checkpoint_dir,
                     )
                     self._dynamic[(k, algorithm)] = state
-                state.seed(graph, k, result)
+                state.seed(graph, k, result, digest=digest)
                 self._dynamic.move_to_end((k, algorithm))
                 while len(self._dynamic) > _MAX_DYNAMIC_STATES:
                     self._dynamic.popitem(last=False)

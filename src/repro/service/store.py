@@ -8,6 +8,11 @@ ask for it.  Single-flight deduplication hands every concurrent requester the
 same in-progress :class:`~concurrent.futures.Future` instead of preparing the
 artifact twice.
 
+A graph is digested in full once, when it is added.  The stored copy keeps
+the digest's row sum, so an edge-delta successor's digest costs only the
+rows the delta touches (see :mod:`repro.graphs.graph`), and the digest the
+store keys by is handed to the prepare instead of being recomputed.
+
 Both caches are optionally bounded: ``max_graphs`` / ``max_prepared`` turn
 them into LRU caches, so a long-lived service under an endless stream of
 novel graphs degrades to evictions (counted in :meth:`stats`) instead of
@@ -18,7 +23,11 @@ Durability is optional and best-effort: with a
 :class:`~repro.service.persistence.ServicePersistence` attached, every new
 graph and prepared artifact is snapshotted to disk after it lands in the
 in-memory cache, and construction restores whatever snapshots the state
-directory holds (counted in :meth:`stats` as ``restored_*``).  Persistence
+directory holds (counted in :meth:`stats` as ``restored_*``).  A restore
+re-digests every graph snapshot rather than trusting its filename, so a
+state directory written under an older digest format comes back under
+current digests, with its journals and prepared snapshots migrated
+(``migrated_digests`` in :meth:`stats`).  Persistence
 failures — full disk, bad permissions — log a warning and leave the store
 running in-memory; they never fail the request that triggered the write.
 On-disk snapshots are not deleted on LRU eviction (they are content-
@@ -36,7 +45,7 @@ import logging
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .persistence import ServicePersistence
@@ -110,14 +119,26 @@ class GraphStore:
         self._restored_prepared = 0
         self._mutations = 0
         self._restored_deltas = 0
+        self._migrated_digests = 0
         if persistence is not None:
             self._restore(persistence)
 
     def _restore(self, persistence: "ServicePersistence") -> None:
-        """Warm the caches from on-disk snapshots (best-effort, never fatal)."""
+        """Warm the caches from on-disk snapshots (best-effort, never fatal).
+
+        Every snapshot is re-digested instead of trusting its filename, so a
+        state directory written under an older digest format restores under
+        current digests and never serves a graph under an old one; the
+        on-disk state keyed by old digests is then migrated (see
+        :meth:`~repro.service.persistence.ServicePersistence.migrate_digests`).
+        """
         try:
             with self._lock:
-                for digest, name, graph in persistence.load_graphs():
+                renamed: Dict[str, str] = {}
+                for file_digest, name, graph in persistence.load_graphs():
+                    digest = graph.content_digest()
+                    if digest != file_digest:
+                        renamed[file_digest] = digest
                     if digest in self._graphs:
                         continue
                     self._graphs[digest] = graph
@@ -125,6 +146,16 @@ class GraphStore:
                         self._names[digest] = name
                     self._restored_graphs += 1
                     self._evict_graphs_locked()
+                links = self._restore_deltas_locked(persistence, renamed)
+                if renamed:
+                    self._migrated_digests = len(renamed)
+                    logger.warning("state directory holds %d graph(s) under an old digest "
+                                   "format; migrating to current digests", len(renamed))
+                    try:
+                        persistence.migrate_digests(renamed, links)
+                    except Exception:
+                        logger.warning("migrating on-disk state to current digests failed",
+                                       exc_info=True)
                 for key, artifact in persistence.load_prepared():
                     # An artifact whose graph snapshot is gone (or was just
                     # evicted by the cap) is unreachable; skip it.
@@ -136,12 +167,13 @@ class GraphStore:
                         while len(self._prepared) > self.max_prepared:
                             self._prepared.popitem(last=False)
                             self._prepared_evictions += 1
-                self._restore_deltas_locked(persistence)
         except Exception:
             logger.warning("restoring store state failed; continuing with what loaded",
                            exc_info=True)
 
-    def _restore_deltas_locked(self, persistence: "ServicePersistence") -> None:
+    def _restore_deltas_locked(
+        self, persistence: "ServicePersistence", renamed: Dict[str, str]
+    ) -> List[Tuple[str, str, Optional[str], Tuple, Tuple]]:
         """Replay the delta WAL: re-link the digest chain and rebuild any
         successor whose own snapshot never made it to disk.
 
@@ -151,13 +183,27 @@ class GraphStore:
         mismatch, absent parent, invalid payload) is skipped with a warning;
         a crash mid-mutation therefore degrades to serving the predecessor,
         never to torn state.
+
+        ``renamed`` maps old-format digests to current ones.  Records are
+        read through it, and a successor rebuilt from a renamed parent joins
+        it under the digest the rebuild computes (an old-format record's
+        digest cannot be checked).  Returns the records that replayed, in
+        current digests.
         """
+        links = []
         for parent, child, name, adds, removes in persistence.replay_deltas():
             try:
                 delta = EdgeDelta(adds=adds, removes=removes)
             except Exception:
                 logger.warning("delta WAL record for %s is invalid; skipped", child[:12])
                 continue
+            old_format = parent in renamed
+            if child in renamed and not old_format:
+                logger.warning("delta WAL parent %s has no current digest; link to %s dropped",
+                               parent[:12], child[:12])
+                continue
+            parent = renamed.get(parent, parent)
+            child = renamed.get(child, child)
             if child not in self._graphs:
                 source = self._graphs.get(parent)
                 if source is None:
@@ -172,7 +218,10 @@ class GraphStore:
                     logger.warning("replaying delta onto %s failed; skipped",
                                    parent[:12], exc_info=True)
                     continue
-                if succ_digest != child:
+                if old_format:
+                    renamed[child] = succ_digest
+                    child = succ_digest
+                elif succ_digest != child:
                     logger.warning(
                         "replayed delta digest %s does not match WAL record %s; skipped",
                         succ_digest[:12], child[:12],
@@ -191,6 +240,8 @@ class GraphStore:
             self._parents[child] = parent
             self._deltas[child] = delta
             self._restored_deltas += 1
+            links.append((parent, child, name, delta.adds, delta.removes))
+        return links
 
     # ------------------------------------------------------------------ #
     # Graphs
@@ -198,19 +249,23 @@ class GraphStore:
     def add(self, graph: Graph, name: Optional[str] = None) -> str:
         """Register ``graph`` (copied) and return its content digest.
 
-        Adding a graph whose digest is already present is a cheap no-op that
+        Adding a graph whose digest is already present stores nothing and
         returns the existing digest; ``name`` is a human-readable label kept
-        for listings only.  With ``max_graphs`` set, inserting beyond the cap
+        for listings only.  The digest and the copy are made before the
+        store's lock is taken, so a large add never stalls requests for
+        other graphs.  With ``max_graphs`` set, inserting beyond the cap
         evicts the least-recently-used graph (and its prepared artifacts).
         """
         digest = graph.content_digest()
-        stored: Optional[Graph] = None
+        # Copy outside the lock: a large graph's copy must not stall every
+        # other store operation.  A re-add just drops it.
+        stored: Optional[Graph] = graph.copy()
         with self._lock:
             if digest not in self._graphs:
-                stored = graph.copy()
                 self._graphs[digest] = stored
                 self._evict_graphs_locked()
             else:
+                stored = None
                 self._graphs.move_to_end(digest)
             if name is not None:
                 self._names[digest] = name
@@ -289,7 +344,8 @@ class GraphStore:
         """Apply ``delta`` to the stored graph ``digest``; return the successor digest.
 
         The successor is stored as a first-class graph under its own content
-        digest with a ``parent_digest`` link back to the predecessor, and
+        digest, derived from the predecessor's in O(sum of the touched
+        vertices' degrees), with a ``parent_digest`` link back to it, and
         the delta is WAL-journaled through the attached persistence (if any)
         so a ``--state-dir`` restart keeps the digest chain.  The
         predecessor stays untouched and servable: mutation is copy-on-write,
@@ -385,9 +441,10 @@ class GraphStore:
     ) -> PreparedInstance:
         """Return the prepared artifact for ``(digest, k, config)``, building it once.
 
-        The first caller of a slot runs :func:`prepare_instance`; concurrent
-        callers of the same slot wait on that computation instead of
-        repeating it, and later callers get the cached artifact immediately.
+        The first caller of a slot runs :func:`prepare_instance`, passing it
+        ``digest`` so the graph is not digested again; concurrent callers of
+        the same slot wait on that computation instead of repeating it, and
+        later callers get the cached artifact immediately.
         A failed preparation is not cached — the next request retries.
         """
         if config is None:
@@ -413,7 +470,7 @@ class GraphStore:
             return inflight.result()
         try:
             faults.fire("store.prepare", digest=digest, k=k)
-            artifact = prepare_instance(graph, k, config)
+            artifact = prepare_instance(graph, k, config, digest=digest)
         except BaseException as exc:
             with self._lock:
                 del self._inflight[key]
@@ -438,7 +495,8 @@ class GraphStore:
 
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, int]:
-        """Counters: stored graphs/artifacts, builds, cache hits, evictions."""
+        """Counters: stored graphs/artifacts, builds, cache hits, evictions,
+        restores, and digests migrated from an older format."""
         with self._lock:
             return {
                 "graphs": len(self._graphs),
@@ -451,6 +509,7 @@ class GraphStore:
                 "restored_prepared": self._restored_prepared,
                 "mutations": self._mutations,
                 "restored_deltas": self._restored_deltas,
+                "migrated_digests": self._migrated_digests,
             }
 
     # ------------------------------------------------------------------ #
@@ -482,6 +541,7 @@ class GraphStore:
                 "restored_prepared": self._restored_prepared,
                 "mutations": self._mutations,
                 "restored_deltas": self._restored_deltas,
+                "migrated_digests": self._migrated_digests,
             }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
@@ -503,3 +563,4 @@ class GraphStore:
         self._restored_prepared = state["restored_prepared"]
         self._mutations = state.get("mutations", 0)
         self._restored_deltas = state.get("restored_deltas", 0)
+        self._migrated_digests = state.get("migrated_digests", 0)

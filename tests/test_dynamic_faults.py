@@ -12,6 +12,10 @@ at the two dynamic fault points and asserts the crash-safety contract:
 * ``checkpoint.append`` — a killed incremental re-solve resumes from its
   carry-over checkpoint: the retry skips every journaled anchor instead of
   restarting, and still answers exactly.
+
+Both faults strike after the delta went into the epoch's relabeled graph in
+place, so they also pin the undo: a later, different delta is answered
+against the predecessor, not against a graph still carrying the failed one.
 """
 
 from __future__ import annotations
@@ -142,6 +146,30 @@ class TestDynamicResolveFault:
         successor, succ_digest = apply_delta(graph, delta)
         assert report.digest == succ_digest
         assert report.result.size == KDCSolver(CONFIG).solve(successor, K).size
+
+
+class TestEpochUndo:
+    @pytest.mark.parametrize("point", ["dynamic.resolve", "checkpoint.append"])
+    def test_failed_resolve_leaves_epoch_on_predecessor(self, point):
+        graph = gnp_random_graph(60, 0.25, seed=21)
+        edges = absent_edges(graph, 3)
+        failed, other = EdgeDelta(adds=edges[:2]), EdgeDelta(adds=edges[2:])
+        tracker = IncrementalSolver(CONFIG, max_affected_fraction=1.0)
+        tracker.solve(graph, K)
+        relabeled, to_int, _ = graph.relabel()
+
+        with FaultInjector().add(point, error="boom") as injector:
+            with pytest.raises(InjectedFaultError):
+                tracker.apply(failed)
+            assert [p for p, _ in injector.fired] == [point]
+        assert tracker._epoch.graph == relabeled
+
+        report = tracker.apply(other)
+        successor, succ_digest = apply_delta(graph, other)
+        assert report.incremental, report.fallback_reason
+        assert report.digest == succ_digest
+        assert report.result.size == KDCSolver(CONFIG).solve(successor, K).size
+        assert tracker._epoch.graph == successor.relabel()[0]
 
 
 class TestCheckpointResume:

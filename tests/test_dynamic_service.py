@@ -181,6 +181,33 @@ class TestServiceMutate:
             assert stats["mutations"] == 2
             assert stats["anchors_reused"] > 0
 
+    def test_mutate_and_solve_step_makes_no_full_digest(self, monkeypatch):
+        """A step derives the successor's digest and copies the graph once."""
+        from repro.graphs.graph import Graph
+
+        # sparse enough that one add stays under the affected-fraction guard
+        graph = gnp_random_graph(120, 0.04, seed=5)
+        with SolverService(config=CONFIG) as service:
+            digest = service.store.add(graph)
+            witness = set(service.solve(digest, K).clique)
+            # a removal that keeps the previous optimum valid, so the solve
+            # stays on the incremental route
+            removed = next(e for e in graph.iter_edges() if not set(e) <= witness)
+            delta = EdgeDelta(adds=valid_delta(graph).adds, removes=[removed])
+            calls = []
+            for name in ("content_digest", "copy"):
+                real = getattr(Graph, name)
+                monkeypatch.setattr(
+                    Graph, name, lambda g, real=real, name=name: calls.append(name) or real(g)
+                )
+            child = service.mutate(digest, adds=delta.adds, removes=delta.removes)["digest"]
+            answer = service.solve(child, K)
+            assert service.stats()["anchors_reused"] > 0
+            assert calls == ["copy"]
+            successor, succ_digest = apply_delta(graph, delta)
+            assert child == succ_digest
+            assert answer.size == KDCSolver(CONFIG).solve(successor, K).size
+
     def test_incremental_answer_lands_in_result_cache(self, graph):
         with SolverService(config=CONFIG) as service:
             digest = service.store.add(graph)

@@ -5,11 +5,13 @@ Exercises :class:`~repro.service.persistence.ServicePersistence` directly
 the active-checkpoint guard) and through the service layer (GraphStore and
 SolverService restarted against the same state directory restore their
 graphs, prepared artifacts and optimal-result cache).  Also covers the
-GraphStore pickle round trip, which the snapshot layer relies on.
+GraphStore pickle round trip, which the snapshot layer relies on, and the
+upgrade of a state directory written under the previous digest format.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import os
 import pickle
@@ -18,7 +20,9 @@ import pytest
 
 from repro.core.config import SolverConfig
 from repro.core.prepared import prepare_instance
-from repro.graphs import gnp_random_graph
+from repro.dynamic import EdgeDelta, apply_delta
+from repro.exceptions import UnknownGraphError
+from repro.graphs import Graph, gnp_random_graph
 from repro.service import GraphStore, ServicePersistence, SolverService
 from repro.testing.chaos import FaultInjector, InjectedFaultError
 
@@ -372,3 +376,118 @@ class TestServiceWarmRestart:
                 cold.close()
         assert cold.stats()["restored_results"] == 0
         assert any("starting cold" in r.message for r in caplog.records)
+
+
+# --------------------------------------------------------------------------- #
+# Upgrade from the previous digest format
+# --------------------------------------------------------------------------- #
+#: ``pickle.dumps(g, protocol=5)`` of ``Graph(edges=LEGACY_EDGES)`` plus the
+#: isolated vertex 7, written by the release whose digest sorted and hashed
+#: every edge (before graphs carried a digest sum).
+LEGACY_EDGES = [(0, 1), (1, 2), (0, 2), (2, 3), (3, "x")]
+LEGACY_PICKLE = bytes.fromhex(
+    "8005957d000000000000008c12726570726f2e6772617068732e6772617068948c0547"
+    "726170689493942981944e7d94288c045f61646a947d94284b008f94284b014b02904b"
+    "018f94284b004b02904b028f94284b004b014b03904b038f94284b028c01789490680b"
+    "8f94284b03904b078f94758c0a5f6e756d5f6564676573944b05758694622e"
+)
+#: That release's ``content_digest()`` of the same graph.
+LEGACY_DIGEST = "960efc402e97224fe73eb621a3594c18141fd29ae2716688105b4264912df30b"
+
+
+def legacy_digest(graph):
+    """The previous format: SHA-256 over sorted vertex tokens, then sorted edges."""
+
+    def token(v):
+        return f"{type(v).__name__}:{v!r}"
+
+    h = hashlib.sha256()
+    for t in sorted(token(v) for v in graph):
+        h.update(t.encode("utf-8"))
+        h.update(b"\x00")
+    h.update(b"\x01")
+    edges = []
+    for u, v in graph.iter_edges():
+        a, b = token(u), token(v)
+        edges.append((a, b) if a <= b else (b, a))
+    for a, b in sorted(edges):
+        h.update(a.encode("utf-8"))
+        h.update(b"\x1f")
+        h.update(b.encode("utf-8"))
+        h.update(b"\x00")
+    return h.hexdigest()
+
+
+class TestDigestFormatUpgrade:
+    def test_legacy_pickled_graph_loads_and_digests(self):
+        graph = pickle.loads(LEGACY_PICKLE)
+        graph.validate()
+        expected = Graph(edges=LEGACY_EDGES, vertices=[7])
+        assert graph == expected
+        assert legacy_digest(graph) == LEGACY_DIGEST  # the inline copy is faithful
+        assert graph.content_digest() == expected.content_digest() != LEGACY_DIGEST
+        assert pickle.loads(pickle.dumps(graph)).content_digest() == graph.content_digest()
+
+    @pytest.mark.parametrize("successor_snapshot", [True, False])
+    def test_legacy_state_dir_serves_under_current_digests(
+        self, state_dir, graph, successor_snapshot
+    ):
+        from repro.core.solver import KDCSolver
+
+        absent = next((0, v) for v in range(1, 40) if not graph.has_edge(0, v))
+        delta = EdgeDelta(adds=[absent], removes=[next(graph.iter_edges())])
+        successor, child = apply_delta(graph, delta)
+        root = graph.content_digest()
+        old_root, old_child = legacy_digest(graph), legacy_digest(successor)
+        answer = KDCSolver(CONFIG).solve(successor, K)
+
+        # What the previous release left behind: snapshots named by old
+        # digests (the successor's may have been cut off by a crash), the
+        # mutation's WAL link, one cached answer, a prepared snapshot and a
+        # checkpoint journal of an interrupted solve.
+        persistence = ServicePersistence(state_dir)
+        persistence.save_graph(old_root, "g", graph)
+        if successor_snapshot:
+            persistence.save_graph(old_child, "g", successor)
+        persistence.append_delta(old_root, old_child, "g", delta)
+        persistence.append_result((old_child, K, "kDC", CONFIG.backend), answer)
+        persistence.save_prepared(
+            (old_root, K, CONFIG.initial_heuristic, CONFIG.use_rr5, CONFIG.use_rr6),
+            prepare_instance(graph, K, CONFIG, digest=old_root),
+        )
+        checkpoint = persistence.open_checkpoint(old_root, K, "kDC", CONFIG)
+        checkpoint.record(0, [])
+        checkpoint.close()
+        old_checkpoint = checkpoint.path
+        persistence.close()
+
+        with SolverService(config=CONFIG, persistence=ServicePersistence(state_dir)) as warm:
+            store = warm.store
+            assert store.graphs() == {root: "g", child: "g"}
+            for old in (old_root, old_child):
+                with pytest.raises(UnknownGraphError):
+                    store.get(old)
+            assert store.get(child) == successor
+            assert store.parent_digest(child) == root
+            assert store.resolve("g") == child
+            assert store.stats()["migrated_digests"] == 2
+            assert store.stats()["restored_prepared"] == 1
+            hit = warm.solve(child, K)
+            assert hit.stats.cache_hit
+            assert hit.size == answer.size and hit.clique == answer.clique
+            fresh = warm.solve(root, K)
+            assert fresh.optimal and fresh.stats.subproblems_restored == 0
+            assert store.stats()["prepares"] == 0  # the re-keyed artifact served
+
+        # On disk, everything is keyed by the current digests now.
+        reopened = ServicePersistence(state_dir)
+        assert sorted(d for d, _, _ in reopened.load_graphs()) == sorted(
+            [root, child] if successor_snapshot else [root]
+        )
+        assert [(p, c) for p, c, *_ in reopened.replay_deltas()] == [(root, child)]
+        assert {key[0] for key, _ in reopened.replay_results()} == {child, root}
+        assert [key[0] for key, _ in reopened.load_prepared()] == [root]
+        assert not os.path.exists(old_checkpoint)
+        again = GraphStore(persistence=reopened)
+        assert again.stats()["migrated_digests"] == 0
+        assert again.graphs() == {root: "g", child: "g"}

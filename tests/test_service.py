@@ -47,6 +47,36 @@ class TestGraphStore:
         graph.add_edge("intruder", "intruder2")
         assert "intruder" not in store.get(digest)
 
+    def test_add_copies_outside_the_lock(self, graph, monkeypatch):
+        """A large add must not stall requests for other graphs on the lock."""
+        store = GraphStore()
+        held = []
+        real_copy = Graph.copy
+
+        def spying_copy(g):
+            held.append(store._lock.locked())
+            return real_copy(g)
+
+        monkeypatch.setattr(Graph, "copy", spying_copy)
+        digest = store.add(graph)
+        assert store.add(graph) == digest  # the re-add's copy is dropped
+        assert held == [False, False]
+        assert len(store) == 1 and store.get(digest) is not graph
+
+    def test_prepare_reuses_the_stored_digest(self, graph, monkeypatch):
+        store = GraphStore()
+        digest = store.add(graph)
+        calls = []
+        real_digest = Graph.content_digest
+
+        def counting_digest(g):
+            calls.append(g)
+            return real_digest(g)
+
+        monkeypatch.setattr(Graph, "content_digest", counting_digest)
+        assert store.prepared(digest, 2).digest == digest
+        assert calls == []
+
     def test_unknown_digest_raises(self):
         store = GraphStore()
         with pytest.raises(UnknownGraphError):
@@ -116,13 +146,13 @@ class TestGraphStore:
         failing = [True]
         from repro.core.prepared import prepare_instance as real_prepare
 
-        def fake_prepare(g, k, config):
+        def fake_prepare(g, k, config, **kwargs):
             calls.append(1)
             entered.set()
             assert release.wait(10), "test orchestration stalled"
             if failing[0]:
                 raise RuntimeError("prepare exploded")
-            return real_prepare(g, k, config)
+            return real_prepare(g, k, config, **kwargs)
 
         monkeypatch.setattr("repro.service.store.prepare_instance", fake_prepare)
 
