@@ -12,28 +12,23 @@ Machine-readable results
 Every benchmark entry point registers its measurements with a
 :class:`BenchRecorder` (via :func:`bench_recorder`); at the end of the
 session — the conftest fixture for pytest runs, an ``atexit`` hook for
-``python benchmarks/bench_*.py`` runs — each recorder is flushed to
-``BENCH_<name>.json`` so the perf trajectory (instances, wall-clock, nodes,
-backend/workers) is tracked across PRs.  ``REPRO_BENCH_JSON_DIR``
-selects the output directory (default: the current working directory); CI
-uploads the files as artifacts.
-
-Each flush also **dual-writes** the rows into the SQLite experiment store
-(:class:`repro.bench.store.ExperimentStore`, one run per recorder labelled
-``bench:<name>``), so the flat JSON snapshots and the queryable trajectory
-stay in lockstep.  ``REPRO_BENCH_DB`` overrides the store path; setting it
-to an empty string disables the store write (the JSON files are always
-written).
+``python benchmarks/bench_*.py`` runs — each recorder with new rows is
+flushed into the SQLite experiment store
+(:class:`repro.bench.store.ExperimentStore`) as one run labelled
+``bench:<name>``, so the perf trajectory (instances, wall-clock, nodes,
+backend/workers) is tracked across commits.  The store is
+``BENCH_trajectory.sqlite`` in the current directory unless
+``REPRO_BENCH_DB`` names another file; ``repro experiments export --db
+BENCH_trajectory.sqlite`` writes a run out as JSON.
 """
 
 from __future__ import annotations
 
 import atexit
-import json
 import os
-import platform
-import time
 from typing import Dict, List, Optional
+
+from repro.bench.store import ExperimentStore, split_record
 
 
 def bench_scale() -> str:
@@ -47,14 +42,14 @@ def bench_time_limit() -> float:
 
 
 class BenchRecorder:
-    """Accumulates one benchmark module's measurements for ``BENCH_<name>.json``."""
+    """Accumulates one benchmark module's measurements for the experiment store."""
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.records: List[Dict[str, object]] = []
-        #: record count at the last store dual-write; the conftest flush and
-        #: the atexit backstop both call :meth:`write`, and only one of them
-        #: should append a run to the trajectory store
+        #: record count at the last flush; the conftest flush and the atexit
+        #: backstop both call :meth:`write`, and only one of them should
+        #: append a run to the trajectory store
         self._store_written = 0
 
     # ------------------------------------------------------------------ #
@@ -76,6 +71,7 @@ class BenchRecorder:
             size=result.size,
             optimal=result.optimal,
             nodes=stats.nodes,
+            algorithm=result.algorithm,
             backend=stats.backend,
             workers=stats.workers,
             **fields,
@@ -103,47 +99,16 @@ class BenchRecorder:
                 self.record(str(key), **(value if isinstance(value, dict) else {"value": value}))
 
     # ------------------------------------------------------------------ #
-    def write(self, directory: Optional[str] = None) -> str:
-        """Write ``BENCH_<name>.json`` (and the experiment store); return the JSON path."""
-        directory = directory or os.environ.get("REPRO_BENCH_JSON_DIR", ".")
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, f"BENCH_{self.name}.json")
-        payload = {
-            "bench": self.name,
-            "created_unix": round(time.time(), 3),
-            "scale": bench_scale(),
-            "time_limit": bench_time_limit(),
-            "python": platform.python_version(),
-            "cpus": os.cpu_count(),
-            "records": self.records,
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=False)
-            handle.write("\n")
-        self.write_store(directory)
-        return path
+    def write(self) -> Optional[str]:
+        """Write every recorded row to the store as one new run.
 
-    def write_store(self, directory: str) -> Optional[str]:
-        """Dual-write the rows into the SQLite experiment store; return its path.
-
-        The store path is ``<directory>/BENCH_trajectory.sqlite`` unless
-        ``REPRO_BENCH_DB`` overrides it (empty string = disabled).  Rows with
-        identical keyfields replace each other (latest measurement wins), so
-        re-flushing is idempotent.  Missing ``repro`` on ``sys.path`` —
-        possible for bare ``python benchmarks/bench_*.py`` runs — downgrades
-        the store write to a no-op rather than losing the JSON flush.
+        Returns the store path, or ``None`` (and writes nothing) when no row
+        arrived since the last flush.  Rows with identical keyfields replace
+        each other within a run (latest measurement wins).
         """
-        db_path = os.environ.get("REPRO_BENCH_DB")
-        if db_path == "":
-            return None
-        if db_path is None:
-            db_path = os.path.join(directory, "BENCH_trajectory.sqlite")
         if len(self.records) == self._store_written:
-            return db_path  # nothing new since the last flush
-        try:
-            from repro.bench.store import ExperimentStore, split_record
-        except ImportError:
             return None
+        db_path = os.environ.get("REPRO_BENCH_DB") or "BENCH_trajectory.sqlite"
         with ExperimentStore(db_path) as store:
             run_id = store.begin_run(
                 label=f"bench:{self.name}",
@@ -173,12 +138,12 @@ def bench_recorder(name: str) -> BenchRecorder:
     return recorder
 
 
-def write_all_bench_json(directory: Optional[str] = None) -> List[str]:
-    """Flush every recorder that collected at least one row; return the paths."""
-    return [r.write(directory) for r in _RECORDERS.values() if r.records]
+def write_all_bench_records() -> List[str]:
+    """Flush every recorder with unflushed rows; return the store paths written."""
+    return [path for path in (r.write() for r in _RECORDERS.values()) if path]
 
 
 # ``python benchmarks/bench_*.py`` runs have no conftest fixture to flush the
-# recorders, so an atexit hook is the backstop (idempotent: rewriting the
-# same payload is harmless).
-atexit.register(write_all_bench_json)
+# recorders, so an atexit hook is the backstop (idempotent: a recorder with
+# nothing new since its last flush writes nothing).
+atexit.register(write_all_bench_records)

@@ -3,8 +3,8 @@
 Companion to ``bench_solver_micro.py``: the same solver is timed once with
 the dict/set :class:`SearchState` backend and once with the bitset fast path
 (packed adjacency bitmaps plus the degeneracy decomposition), so the
-``BENCH_backend_compare.json`` perf trajectory captures the backend speedup
-from the PR that introduced the bitset core onward.
+``bench:backend_compare`` runs of the experiment store track the backend
+speedup over time.
 
 Observed on this class (1-CPU dev box): ~5-7x on G(n, p) with n >= 200,
 ~2-3x on the denser facebook-like instances where reductions shrink states

@@ -4,7 +4,7 @@ The dynamic-graph subsystem claims that after a small edge delta, only the
 ego subproblems whose 2-neighbourhood saw an *added* edge need re-solving
 (removals are handled by witness re-verification alone).  This benchmark
 measures that claim on seeded G(n, p) delta streams and records the
-trajectory in ``BENCH_dynamic.json``:
+trajectory as ``bench:dynamic`` runs of the experiment store:
 
 * the ISSUE acceptance scenario — a 1000-vertex sparse graph under 50
   single-edge deltas: every incremental optimum must match a from-scratch

@@ -1,7 +1,7 @@
 """Worker-count scaling of the parallel degeneracy decomposition.
 
 Companion to ``bench_backend_compare.py``: the same decomposed G(n, p)
-instance is solved with 1, 2 and 4 worker processes, so the ``BENCH_*.json``
+instance is solved with 1, 2 and 4 worker processes, so the experiment-store
 perf trajectory captures the parallel-scaling curve from the PR that
 introduced :mod:`repro.core.parallel` onward.
 
@@ -10,7 +10,7 @@ share a best-size bound; each subproblem remains an exact search).  The
 wall-clock assertion — >= 1.5x speedup at 4 workers — is only meaningful on
 a machine that actually has >= 4 CPUs, so it is gated on ``os.cpu_count()``;
 on smaller machines the benchmark still verifies agreement and *records*
-the (flat) scaling numbers into ``BENCH_parallel.json``, so the perf
+the (flat) scaling numbers as a ``bench:parallel`` store run, so the perf
 trajectory shows what actually happened on the box instead of a silently
 skipped assertion.
 

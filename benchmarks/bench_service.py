@@ -11,7 +11,7 @@ measures both effects on one G(n, p) instance:
 * ``service`` — the same query stream through one :class:`SolverService`
   (first query per ``k`` prepares + solves, repeats are cache hits).
 
-Recorded into ``BENCH_service.json``: per-mode wall-clock, the service's
+Recorded as a ``bench:service`` store run: per-mode wall-clock, the service's
 prepare/cache counters, and the request-level phase timings of a first-touch
 and a cache-hit answer.  The queries are tiny, so this rides along in the
 tier-1 run in well under a second.

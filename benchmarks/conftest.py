@@ -18,15 +18,15 @@ for path in (_SRC, _HERE):
     if path not in sys.path:
         sys.path.insert(0, path)
 
-from _bench_utils import bench_scale, bench_time_limit, write_all_bench_json  # noqa: E402
+from _bench_utils import bench_scale, bench_time_limit, write_all_bench_records  # noqa: E402
 
 
 @pytest.fixture(autouse=True, scope="session")
-def _flush_bench_json():
-    """Write every ``BENCH_<name>.json`` the session's benchmarks recorded."""
+def _flush_bench_records():
+    """Flush the session's benchmark rows into the experiment store."""
     yield
-    for path in write_all_bench_json():
-        print(f"[bench-json] wrote {path}")
+    for path in write_all_bench_records():
+        print(f"[bench-store] wrote a run to {path}")
 
 
 @pytest.fixture(scope="session")

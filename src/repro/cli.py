@@ -3,11 +3,11 @@
 Sub-commands
 ------------
 * ``solve``       — find a maximum k-defective clique of a graph file
-  (``--backend set|bitset|auto`` selects the search-state backend; the
-  bitset backend adds a degeneracy decomposition on large instances,
-  ``--workers N`` runs the decomposition's ego subproblems across N
-  processes with no change to the optimal size returned, and ``--stats``
-  dumps the full search counters);
+  (``--backend set|bitset|auto`` selects the search-state backend, where
+  ``auto`` is bitset; the bitset backend adds a degeneracy decomposition
+  on large instances, ``--workers N`` runs the decomposition's ego
+  subproblems across N processes with no change to the optimal size
+  returned, and ``--stats`` dumps the full search counters);
 * ``compare``     — run several algorithms on one graph and tabulate them;
 * ``top-r``       — top-r maximal or diversified k-defective cliques;
 * ``properties``  — Tables 5–7 style analysis of one graph;
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(BACKEND_NAMES),
         help="search-state backend for the kDC variants: 'set' (dict/set states), "
         "'bitset' (packed adjacency bitmaps + degeneracy decomposition on large "
-        "instances), or 'auto' (pick by reduced instance size; the default)",
+        "instances), or 'auto' (the default; same as bitset)",
     )
     solve.add_argument(
         "--workers",

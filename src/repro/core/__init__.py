@@ -19,7 +19,6 @@ from .branching import select_branching_vertex
 from .checkpoint import SolveCheckpoint, checkpoint_meta
 from .config import BACKEND_NAMES, VARIANT_NAMES, SolverConfig, variant_config
 from .decompose import build_ego_subproblem, solve_decomposed
-from .parallel import solve_decomposed_parallel
 from .fastpath import (
     BitsetEngine,
     ReductionWorklist,
@@ -84,7 +83,6 @@ __all__ = [
     "bitset_ub2_min_degree",
     "bitset_ub3_degree_sequence",
     "solve_decomposed",
-    "solve_decomposed_parallel",
     "build_ego_subproblem",
     "SolveCheckpoint",
     "checkpoint_meta",

@@ -1,7 +1,7 @@
 """Crash-safe journal primitives and subproblem-level solve checkpointing.
 
 Two building blocks live here, shared by the service persistence layer
-(:mod:`repro.service.persistence`) and the decomposition drivers:
+(:mod:`repro.service.persistence`) and the decomposition driver:
 
 **Checksummed append-only journals (WAL).**  A journal is a flat file of
 records, each ``8-byte header + payload`` where the header packs the payload
@@ -30,12 +30,12 @@ anchors.  Two disciplines keep the resume exact:
   never smuggle in a phantom bound whose witness died with the crashed
   process, mirroring the phantom-bound audit of :mod:`repro.core.parallel`;
 * ``done`` records are only written for anchors whose search *completed*
-  (the sequential driver records after each anchor returns; the parallel
-  driver records a round's batches only when the round finished clean and
-  passed the phantom-bound audit), so a resume never skips work that was
-  merely started.
+  (the in-process loop records after each anchor returns; the worker pool
+  records a round's batches only when the round finished clean and passed
+  the phantom-bound audit), so a resume never skips work that was merely
+  started.
 
-For the sequential driver the resume is bit-identical: skipping a completed
+For a ``workers=1`` solve the resume is bit-identical: skipping a completed
 prefix and restoring the journaled incumbent reproduces exactly the state
 the uninterrupted loop would have had at that point, and the engine is
 deterministic from there.

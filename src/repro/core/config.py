@@ -58,17 +58,19 @@ class SolverConfig:
     use_rr6: bool = True
     #: initial solution heuristic: "degen-opt" (Algorithm 4), "degen" (Algorithm 3), or "none"
     initial_heuristic: str = "degen-opt"
-    #: search-state backend: "set" (dict/set SearchState), "bitset" (packed
-    #: adjacency bitmaps, see :mod:`repro.core.fastpath`), or "auto" (pick by
-    #: instance size after preprocessing)
+    #: search-state backend: "set" (dict/set SearchState) or "bitset" (packed
+    #: adjacency bitmaps, see :mod:`repro.core.fastpath`); "auto" is bitset,
+    #: and both route an undecomposable instance above 20,000 reduced
+    #: vertices to set.  "auto" stays its own value because results-journal
+    #: keys and checkpoint identities include it
     backend: str = "auto"
     #: minimum number of (reduced) vertices before the bitset backend switches
     #: from one whole-graph search to the degeneracy decomposition of
     #: :mod:`repro.core.decompose`
     decompose_threshold: int = 128
     #: worker processes for the degeneracy decomposition: 1 (default) solves
-    #: the ego subproblems sequentially in-process; >= 2 farms them to a
-    #: :mod:`multiprocessing` pool (:mod:`repro.core.parallel`) sharing one
+    #: the ego subproblems in-process; >= 2 has the same driver farm them to
+    #: a :mod:`multiprocessing` pool (:mod:`repro.core.parallel`) sharing one
     #: best-size incumbent.  The optimal size returned is identical for every
     #: worker count; only wall-clock time changes.  Ignored by the set
     #: backend and by whole-graph bitset solves.

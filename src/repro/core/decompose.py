@@ -29,9 +29,12 @@ whole-graph solve when the incumbent is smaller than ``k + 1`` —
 ``repro.core.solver`` does exactly that.
 
 The subproblems are independent once the incumbent bound is shared, which is
-what makes them embarrassingly parallel: :mod:`repro.core.parallel` reuses
-:func:`build_ego_subproblem` to run the same decomposition across a
-``multiprocessing`` worker pool.
+what makes them embarrassingly parallel.  :func:`solve_decomposed` is the one
+driver for every worker count: with ``config.workers >= 2`` it hands the
+anchors to the :mod:`multiprocessing` pool of :mod:`repro.core.parallel`,
+whose workers run the same :func:`solve_anchor`, and finishes whatever the
+pool could not account for (a lost worker's batch) in its own in-process
+loop.
 """
 
 from __future__ import annotations
@@ -62,12 +65,12 @@ def solve_anchor(
 ) -> None:
     """Build and exactly solve the ego subproblem anchored at ``v``.
 
-    The shared per-anchor body of the sequential driver and the parallel
-    driver's lost-worker recovery loop: prunes via
+    The per-anchor body of :func:`solve_decomposed`'s in-process loop and
+    of the pool workers' batches: prunes via
     :func:`build_ego_subproblem`'s size cap (counted in
     ``stats.subproblems_pruned``) or runs one engine search (counted in
     ``stats.subproblems``), growing ``incumbent`` in place.  Worker
-    processes and the sequential driver run the same
+    processes and the parent run the same
     :class:`~repro.core.fastpath.BitsetEngine`, so they branch with the same
     per-node cost profile.
     """
@@ -159,6 +162,8 @@ def solve_decomposed(
     adj: Optional[Mapping[int, Sequence[int]]] = None,
     decomposition: Optional[Tuple[Sequence[int], Mapping[int, int]]] = None,
     checkpoint: Optional["SolveCheckpoint"] = None,
+    deadline: Optional[float] = None,
+    node_limit: Optional[int] = None,
 ) -> None:
     """Solve ``working`` by per-vertex ego subproblems, improving ``incumbent`` in place.
 
@@ -171,13 +176,14 @@ def solve_decomposed(
     k:
         Defectiveness parameter.
     config:
-        Feature flags forwarded to the bitset engine.
+        Feature flags forwarded to the bitset engine; ``config.workers >= 2``
+        runs the anchors across a worker pool (:mod:`repro.core.parallel`).
     stats:
         Counters updated in place.
     check_budget:
         Raises :class:`~repro.exceptions.BudgetExceededError` to interrupt;
-        called at least once per subproblem (and once per search node by the
-        engine).
+        called at least once per in-process subproblem (and once per search
+        node by the engine), and while waiting on the pool.
     incumbent:
         Best solution known so far, as a list of ``working`` vertex ids with
         ``len(incumbent) >= k + 1`` (see module docstring).  Grown in place.
@@ -185,7 +191,8 @@ def solve_decomposed(
         Optional precomputed adjacency mapping ``vertex -> neighbour
         sequence`` used instead of ``working.neighbors`` — a
         :class:`~repro.core.prepared.PreparedInstance` supplies its frozen
-        ``working_adj`` here so repeated solves skip the rebuild.
+        ``working_adj`` here so repeated solves skip the rebuild.  It is
+        also the pool's payload.
     decomposition:
         Optional precomputed ``(ordering, position)`` degeneracy
         decomposition of the instance; computed from ``working`` when
@@ -195,10 +202,23 @@ def solve_decomposed(
         it journaled as completed by an earlier interrupted run of this
         same solve are skipped (counted in ``stats.subproblems_restored``)
         after restoring its re-verified incumbent, and every anchor
-        completed here is journaled in turn.  Because each anchor is
-        recorded only after its search returns and the loop is
-        deterministic from a given incumbent, an interrupted-then-resumed
-        sequential solve ends bit-identical to an uninterrupted one.
+        completed here is journaled in turn: one at a time by the
+        in-process loop, per audit-clean round by the pool.  Because each
+        anchor is recorded only after its search returns and the
+        in-process loop is deterministic from a given incumbent, an
+        interrupted-then-resumed ``workers=1`` solve ends bit-identical to
+        an uninterrupted one.
+    deadline, node_limit:
+        The solve's budgets, shipped to pool workers: an absolute
+        ``time.monotonic()`` deadline and a total node budget counted on
+        top of ``stats.nodes`` (``None`` = unlimited).  The in-process loop
+        enforces the same budgets through ``check_budget``.
+
+    Raises
+    ------
+    BudgetExceededError
+        When ``check_budget`` or a pool worker trips a budget; ``incumbent``
+        and ``stats`` already include every completed result.
     """
     if len(incumbent) < k + 1:
         raise ValueError(
@@ -225,10 +245,30 @@ def solve_decomposed(
     # the incumbent tightens early and the cheap size cap in
     # build_ego_subproblem skips most of the remaining, sparser ego nets
     # without building them.
+    anchors = []
     for v in reversed(ordering):
         if v in completed:
             stats.subproblems_restored += 1
-            continue
+        else:
+            anchors.append(v)
+
+    if config.workers >= 2 and anchors:
+        from .parallel import _solve_in_pool  # here: parallel imports this module
+
+        if adj is None:
+            adj = {v: tuple(working.neighbors(v)) for v in working}
+        anchors = _solve_in_pool(
+            adj, position, anchors, k, config, stats, check_budget, incumbent,
+            deadline, node_limit, checkpoint,
+        )
+        if anchors:
+            # Lost-worker recovery: the pool rounds ended with these anchors
+            # unaccounted for, so the loop below searches them in-process.
+            # Record the degradation: timing consumers (bench records) must
+            # not read this solve as having run at full pool width.
+            stats.workers = 1
+
+    for v in anchors:
         check_budget()
         solve_anchor(neighbors, position, v, k, config, stats, check_budget, incumbent)
         if checkpoint is not None:

@@ -1,13 +1,15 @@
-"""Parallel degeneracy-decomposition driver: ego subproblems across worker processes.
+"""Worker pool for the degeneracy decomposition: ego subproblems across processes.
 
 The per-vertex ego subproblems of :mod:`repro.core.decompose` are independent
 once the incumbent lower bound is shared — exactly the structure Chang's kDC
-implementation exploits to scale to million-edge inputs.  This module farms
-them to a :mod:`multiprocessing` pool:
+implementation exploits to scale to million-edge inputs.  When
+``config.workers >= 2``, :func:`repro.core.decompose.solve_decomposed` (the
+one decomposition driver) hands its anchors to this module's
+:mod:`multiprocessing` pool:
 
-* the parent computes the degeneracy ordering once and ships the adjacency
-  lists, the position map and the solver configuration to each worker via the
-  pool initializer (one pickle per worker, not per task);
+* the driver computes the degeneracy ordering once; the adjacency lists, the
+  position map and the solver configuration reach each worker via the pool
+  initializer (one pickle per worker, not per task);
 * the current best *size* is broadcast through shared memory; each worker
   refreshes its local lower bound from it before building every subproblem,
   so an improvement found by any worker immediately tightens the size cap
@@ -57,35 +59,34 @@ arrives.  The parent waits with a timeout and watches the pool's own worker
 processes for pid turnover (with a generous empty-poll watchdog as the
 backstop on runtimes where the pool's worker list is not introspectable).
 On a detected loss it drains whatever did complete and retries on a fresh
-pool with fresh shared state; any batches still unaccounted after the pool
-rounds are finished sequentially in-process, so the solve stays exact
-instead of hanging forever.  One subtlety makes the retry sound: a dying
-worker may have *published* a best size whose witness vertices died with it
-(a "phantom" bound that pruned other subproblems without any backing
-solution reaching the parent).  Each round therefore starts its bound cell
-from the parent's verified incumbent, and a round that ends with a bound
-exceeding what the parent actually holds re-queues every batch it merged —
-anything pruned against the unbacked bound gets re-searched.
+pool with fresh shared state; any anchors still unaccounted after the pool
+rounds go back to the driver, whose in-process loop finishes and journals
+them, so the solve stays exact instead of hanging forever.  One subtlety
+makes the retry sound: a dying worker may have *published* a best size whose
+witness vertices died with it (a "phantom" bound that pruned other
+subproblems without any backing solution reaching the parent).  Each round
+therefore starts its bound cell from the parent's verified incumbent, and a
+round that ends with a bound exceeding what the parent actually holds
+re-queues every batch it merged — anything pruned against the unbacked
+bound gets re-searched.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .checkpoint import SolveCheckpoint
 
 from ..exceptions import BudgetExceededError
-from ..graphs.degeneracy import degeneracy_ordering
-from ..graphs.graph import Graph
 from ..testing import chaos as faults
 from .config import SolverConfig
 from .decompose import solve_anchor
 from .result import SearchStats
 
-__all__ = ["solve_decomposed_parallel"]
+__all__: List[str] = []
 
 #: Engine polls between unconditional flushes of a worker's private node
 #: count into the shared counter (the limit itself is checked against
@@ -106,14 +107,14 @@ _RESULT_POLL_SECONDS = 0.2
 #: On failure the update is skipped or retried later — never blocked on.
 _LOCK_TIMEOUT_SECONDS = 1.0
 
-#: Pool rounds before falling back to in-process sequential recovery: the
+#: Pool rounds before the driver's in-process loop takes the remainder: the
 #: initial round plus one full-parallelism retry after a worker death.
 _MAX_POOL_ROUNDS = 2
 
 #: No-hang backstop when the pool's worker list is not introspectable (pid
 #: turnover invisible): consecutive empty result polls before a round is
 #: abandoned.  Generous — ~5 minutes — because abandoning early only costs
-#: wall-clock (the batches re-run via retry/sequential recovery), while a
+#: wall-clock (the batches re-run via retry or in-process recovery), while a
 #: legitimate batch rarely stays silent this long.
 _MAX_BLIND_EMPTY_POLLS = 1500
 
@@ -190,7 +191,7 @@ def _make_budget_check(
     limit (independently of any lock), and opportunistically flushes the
     private count every :data:`_NODE_FLUSH_INTERVAL` nodes.  ``poll`` is the
     anchor-loop check: it tests the deadline and the already-spent node
-    total without counting anything — mirroring the sequential driver, where
+    total without counting anything — mirroring the in-process loop, where
     per-anchor budget checks compare ``stats.nodes`` but only engine nodes
     increment it.  ``flush`` pushes any residual private count into the
     shared counter (called when the batch ends, so small batches cannot
@@ -286,8 +287,8 @@ def _batched(anchors: List[int], workers: int) -> List[List[int]]:
     """Split ``anchors`` into contiguous batches preserving their order.
 
     Contiguity keeps the densest anchors (front of the list) in the earliest
-    batches, so the shared bound tightens as early as in the sequential
-    driver; ~8 batches per worker keeps the pool load-balanced even when a
+    batches, so the shared bound tightens as early as in the in-process
+    loop; ~8 batches per worker keeps the pool load-balanced even when a
     few dense batches dominate.
     """
     if not anchors:
@@ -296,49 +297,31 @@ def _batched(anchors: List[int], workers: int) -> List[List[int]]:
     return [anchors[i:i + size] for i in range(0, len(anchors), size)]
 
 
-def solve_decomposed_parallel(
-    working: Optional[Graph],
+def _solve_in_pool(
+    adj: Dict[int, Tuple[int, ...]],
+    position: Mapping[int, int],
+    anchors: List[int],
     k: int,
     config: SolverConfig,
     stats: SearchStats,
     check_budget: Callable[[], None],
     incumbent: List[int],
-    deadline: Optional[float] = None,
-    node_limit: Optional[int] = None,
-    adj: Optional[Dict[int, Tuple[int, ...]]] = None,
-    decomposition: Optional[Tuple[Sequence[int], Dict[int, int]]] = None,
-    checkpoint: Optional["SolveCheckpoint"] = None,
-) -> None:
-    """Parallel twin of :func:`repro.core.decompose.solve_decomposed`.
+    deadline: Optional[float],
+    node_limit: Optional[int],
+    checkpoint: Optional["SolveCheckpoint"],
+) -> List[int]:
+    """Run ``anchors`` through worker-pool rounds; return those no round accounted for.
 
-    Parameters mirror the sequential driver; additionally:
-
-    deadline:
-        Absolute ``time.monotonic()`` wall-clock deadline shipped to the
-        workers (``None`` = unlimited).  The parent's own ``check_budget``
-        is still polled while waiting for results.
-    node_limit:
-        Total branch-and-bound node budget across all workers, counted on
-        top of ``stats.nodes`` already spent (``None`` = unlimited).
-    adj:
-        Optional precomputed ``vertex -> neighbour tuple`` adjacency used
-        verbatim as the worker-pool payload (a
-        :class:`~repro.core.prepared.PreparedInstance` passes its frozen
-        ``working_adj``); built from ``working`` when absent.
-    decomposition:
-        Optional precomputed ``(ordering, position)`` degeneracy
-        decomposition; computed from ``working`` when absent.  ``working``
-        may be ``None`` when both ``adj`` and ``decomposition`` are given.
-    checkpoint:
-        Optional :class:`~repro.core.checkpoint.SolveCheckpoint` (used in
-        the parent process only; workers never see it).  Anchors journaled
-        as completed are excluded up front (counted in
-        ``stats.subproblems_restored``) after restoring the re-verified
-        incumbent; a pool round's merged batches are journaled only when
-        the round finished without a budget trip *and* passed the
-        phantom-bound audit — a batch interrupted mid-flight or a round
-        whose pruning may have leaned on an unbacked bound is never marked
-        done.
+    The pool half of :func:`repro.core.decompose.solve_decomposed`, which
+    has already checked the incumbent, ordered the anchors and dropped the
+    ones ``checkpoint`` journaled; it searches the returned remainder
+    in-process (lost-worker recovery).  ``adj`` is the worker payload,
+    ``deadline`` an absolute ``time.monotonic()`` value and ``node_limit``
+    a total node budget counted on top of ``stats.nodes``.  ``checkpoint``
+    stays in the parent: a round's merged batches are journaled only when
+    the round finished without a budget trip *and* passed the phantom-bound
+    audit — a batch interrupted mid-flight or a round whose pruning may
+    have leaned on an unbacked bound is never marked done.
 
     Raises
     ------
@@ -346,31 +329,9 @@ def solve_decomposed_parallel(
         When any worker (or the parent's ``check_budget``) trips a budget;
         ``incumbent`` and ``stats`` already include every completed result.
     """
-    if len(incumbent) < k + 1:
-        raise ValueError(
-            "solve_decomposed_parallel requires an incumbent of size >= k + 1; "
-            "fall back to the whole-graph bitset solve instead"
-        )
     workers = config.workers
-    if decomposition is None:
-        result = degeneracy_ordering(working)
-        ordering, position = result.ordering, dict(result.position)
-    else:
-        ordering, position = decomposition[0], dict(decomposition[1])
-    anchors = list(reversed(ordering))
     stats.workers = workers
-
-    if adj is None:
-        adj = {v: tuple(working.neighbors(v)) for v in working}
-    if checkpoint is not None:
-        restored = checkpoint.verified_incumbent(adj.__getitem__, k)
-        if len(restored) > len(incumbent):
-            incumbent[:] = restored
-        done = checkpoint.completed
-        if done:
-            kept = [v for v in anchors if v not in done]
-            stats.subproblems_restored += len(anchors) - len(kept)
-            anchors = kept
+    position = dict(position)
     mp = multiprocessing.get_context()
 
     def merge(local_best: List[int], batch_stats: SearchStats) -> None:
@@ -379,7 +340,7 @@ def solve_decomposed_parallel(
             incumbent[:] = local_best
 
     #: Batches not yet merged, by task index; whatever is left after the
-    #: pool rounds wind down is re-solved sequentially (last-resort
+    #: pool rounds wind down goes back to the caller (last-resort
     #: lost-worker recovery).
     remaining: Dict[int, List[int]] = dict(enumerate(_batched(anchors, workers)))
     exceeded = False
@@ -437,7 +398,7 @@ def solve_decomposed_parallel(
                         # Poll the parent's own budget only while batches
                         # are still outstanding, so a solve whose last merge
                         # lands exactly on the node limit is not spuriously
-                        # flagged non-optimal — the sequential driver checks
+                        # flagged non-optimal — the in-process loop checks
                         # budgets at node entry, never after the last one.
                         check_budget()
                         # Pool silently respawns dead workers (with new
@@ -446,7 +407,7 @@ def solve_decomposed_parallel(
                         # pid visibility, a long stretch of empty polls is
                         # the (blunter) no-hang backstop — worst case it
                         # abandons a slow round early and the work finishes
-                        # via retry/sequential recovery, still exact.
+                        # via retry or in-process recovery, still exact.
                         if worker_pids is not None:
                             if {p.pid for p in pool_procs} != worker_pids:
                                 break
@@ -514,17 +475,4 @@ def solve_decomposed_parallel(
         run_pool_round()
     if exceeded:
         raise BudgetExceededError("budget exceeded during parallel decomposition")
-    if remaining:
-        # Last-resort lost-worker recovery: finish the unaccounted batches
-        # sequentially in the parent, under the parent's own budget checks.
-        # Exactness is preserved — these anchors simply never got searched.
-        # Record the degradation: timing consumers (bench records) must not
-        # read this solve as having run at full pool width.
-        stats.workers = 1
-        for _, batch in sorted(remaining.items()):
-            for v in batch:
-                check_budget()
-                solve_anchor(adj.__getitem__, position, v, k, config, stats,
-                             check_budget, incumbent)
-                if checkpoint is not None:
-                    checkpoint.record(v, incumbent)
+    return [v for _, batch in sorted(remaining.items()) for v in batch]

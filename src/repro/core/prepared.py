@@ -75,7 +75,7 @@ class PreparedInstance:
     working_adj:
         Adjacency of the RR5/RR6-preprocessed graph as ``{vertex: (sorted
         neighbour tuple, ...)}`` — exactly the mapping the decomposition
-        drivers ship to worker processes.
+        driver ships to worker processes.
     working_num_edges:
         Edge count of the preprocessed graph.
     ordering / position:
@@ -131,7 +131,7 @@ class PreparedInstance:
         return len(self.heuristic)
 
     def decomposition(self) -> Tuple[Sequence[int], Mapping[int, int]]:
-        """The ``(ordering, position)`` pair the decomposition drivers accept."""
+        """The ``(ordering, position)`` pair the decomposition driver accepts."""
         return self.ordering, self.position
 
     def packed_adjacency(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

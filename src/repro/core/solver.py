@@ -26,14 +26,17 @@ Two interchangeable search-state backends implement the branch-and-bound:
   switches to the degeneracy decomposition of :mod:`repro.core.decompose`,
   which solves one small ego subproblem per vertex while threading the shared
   incumbent through as the lower bound.  With ``SolverConfig.workers >= 2``
-  those ego subproblems run across a :mod:`multiprocessing` pool
-  (:mod:`repro.core.parallel`) broadcasting the best size through shared
-  memory; the optimal size returned is identical for every worker count.
+  the same driver runs those ego subproblems across a :mod:`multiprocessing`
+  pool (:mod:`repro.core.parallel`) broadcasting the best size through
+  shared memory; the optimal size returned is identical for every worker
+  count.
 
-``SolverConfig.backend`` selects between them; the default ``"auto"`` uses
-the bitset backend whenever the reduced instance has at least
-:data:`_AUTO_BITSET_MIN_VERTICES` vertices.  Both backends return identical
-optimal sizes; the bitset path is simply much faster on non-toy inputs.
+``SolverConfig.backend`` selects between them; ``"bitset"`` and the default
+``"auto"`` both use the bitset backend, except that an instance above
+:data:`_BITSET_WHOLE_GRAPH_MAX_VERTICES` vertices that cannot decompose (no
+incumbent of at least ``k + 1``) goes to the set backend.  Both backends
+return identical optimal sizes; the set backend is the independent
+reference the differential tests compare against.
 
 Budgets (``time_limit`` / ``node_limit``) are enforced during *all* phases:
 the initial heuristic, the RR5/RR6 preprocessing, and the search itself
@@ -71,7 +74,6 @@ from .decompose import solve_decomposed
 from .defective import validate_k
 from .fastpath import BitsetEngine
 from .instance import SearchState
-from .parallel import solve_decomposed_parallel
 from .prepared import PreparedInstance, prepare_instance
 from .reductions import apply_reductions
 from .result import SearchStats, SolveResult
@@ -80,10 +82,6 @@ __all__ = ["KDCSolver", "find_maximum_defective_clique", "maximum_defective_cliq
 
 #: Recursion depth head-room added on top of the candidate-set size.
 _RECURSION_MARGIN = 256
-
-#: Smallest reduced-instance size for which ``backend="auto"`` picks the
-#: bitset backend; below this the set backend's lower setup cost wins.
-_AUTO_BITSET_MIN_VERTICES = 32
 
 #: Largest instance the *whole-graph* bitset search will accept: n adjacency
 #: rows of n bits is O(n²/8) bytes, so when the degeneracy decomposition
@@ -233,20 +231,17 @@ class _SolveRun:
         incumbent) very large instances are routed to the O(n + m) set
         backend even under ``backend="bitset"`` — running slower beats dying
         on memory, and the decomposition handles every realistically large
-        input that has a heuristic lower bound.
+        input that has a heuristic lower bound.  ``"auto"`` resolves to
+        bitset.
         """
         config = self.config
+        if config.backend == "set":
+            return "set"
         working_n = prepared.working_n
-        backend = config.backend
-        if backend == "auto":
-            backend = "bitset" if working_n >= _AUTO_BITSET_MIN_VERTICES else "set"
-        if backend == "bitset":
-            decomposable = (
-                working_n >= config.decompose_threshold and len(self.best) >= k + 1
-            )
-            if not decomposable and working_n > _BITSET_WHOLE_GRAPH_MAX_VERTICES:
-                return "set"
-        return backend
+        decomposable = working_n >= config.decompose_threshold and len(self.best) >= k + 1
+        if not decomposable and working_n > _BITSET_WHOLE_GRAPH_MAX_VERTICES:
+            return "set"
+        return "bitset"
 
     def _solve_set(self, prepared: PreparedInstance, k: int) -> None:
         """Branch-and-bound over the dict/set :class:`SearchState` backend."""
@@ -269,24 +264,16 @@ class _SolveRun:
         """
         config = self.config
         if prepared.working_n >= config.decompose_threshold and len(self.best) >= k + 1:
-            if config.workers >= 2:
-                deadline = None
-                if self.deadline is not None:
-                    # Translate the perf_counter deadline into the monotonic
-                    # clock, which is meaningful across processes.
-                    deadline = time.monotonic() + (self.deadline - time.perf_counter())
-                solve_decomposed_parallel(
-                    None, k, config, self.stats, self._check_budget, self.best,
-                    deadline=deadline, node_limit=self.node_limit,
-                    adj=prepared.working_adj, decomposition=prepared.decomposition(),
-                    checkpoint=self.checkpoint,
-                )
-            else:
-                solve_decomposed(
-                    None, k, config, self.stats, self._check_budget, self.best,
-                    adj=prepared.working_adj, decomposition=prepared.decomposition(),
-                    checkpoint=self.checkpoint,
-                )
+            deadline = None
+            if self.deadline is not None:
+                # Translate the perf_counter deadline into the monotonic
+                # clock, which is meaningful across processes.
+                deadline = time.monotonic() + (self.deadline - time.perf_counter())
+            solve_decomposed(
+                None, k, config, self.stats, self._check_budget, self.best,
+                adj=prepared.working_adj, decomposition=prepared.decomposition(),
+                checkpoint=self.checkpoint, deadline=deadline, node_limit=self.node_limit,
+            )
             return
         to_global, adj_bits = prepared.packed_adjacency()
         width = len(to_global)
@@ -391,7 +378,14 @@ class KDCSolver:
         else:
             self.name = "kDC" if self.config.uses_practical_techniques else "kDC-t"
 
-    def solve(self, graph: Graph, k: int) -> SolveResult:
+    def solve(
+        self,
+        graph: Graph,
+        k: int,
+        *,
+        time_limit: Optional[float] = None,
+        cancel: Optional[threading.Event] = None,
+    ) -> SolveResult:
         """Compute a maximum k-defective clique of ``graph``.
 
         Parameters
@@ -400,6 +394,9 @@ class KDCSolver:
             Input graph (not modified).
         k:
             Number of tolerated missing edges (``k >= 0``).
+        time_limit, cancel:
+            Per-call budget override and cancellation event, as for
+            :meth:`solve_prepared`; both cover the prepare phase too.
 
         Returns
         -------
@@ -407,8 +404,10 @@ class KDCSolver:
             The best clique found, with ``optimal=True`` unless a budget was hit.
         """
         validate_k(k)
-        run = _SolveRun(self.config, self.name)
-        return run.execute(graph, k)
+        config = self.config
+        if time_limit is not None:
+            config = dataclasses.replace(config, time_limit=time_limit)
+        return _SolveRun(config, self.name, cancel=cancel).execute(graph, k)
 
     def solve_prepared(
         self,
@@ -451,7 +450,7 @@ class KDCSolver:
             graceful drain uses.
         checkpoint:
             Optional :class:`~repro.core.checkpoint.SolveCheckpoint`
-            threaded into the degeneracy-decomposition drivers: a
+            threaded into the degeneracy-decomposition driver: a
             decomposed solve skips the anchors a previous interrupted run
             journaled as completed and journals its own progress in turn.
             Ignored by non-decomposed solves (whole-graph searches have no

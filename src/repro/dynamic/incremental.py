@@ -65,7 +65,7 @@ __all__ = ["DeltaSolveReport", "IncrementalSolver"]
 class _MemoryCarry:
     """In-memory stand-in for :class:`SolveCheckpoint`'s journal contract.
 
-    The decomposition drivers only need ``completed``,
+    The decomposition driver only needs ``completed``,
     ``verified_incumbent``, ``record``/``record_batch`` and the lifecycle
     no-ops; keeping the same duck type means the incremental re-solve code
     is identical whether the carry-over store is durable or not.
@@ -110,6 +110,22 @@ class _MemoryCarry:
 
     def complete(self) -> None:
         pass
+
+
+class _Budget:
+    """One :meth:`IncrementalSolver.apply`'s budget; calling it is the
+    driver's ``check_budget``."""
+
+    def __init__(self, started: float, time_limit: Optional[float], cancel) -> None:
+        #: absolute ``time.monotonic()`` deadline, or ``None``
+        self.deadline = started + time_limit if time_limit is not None else None
+        self.cancel = cancel
+
+    def __call__(self) -> None:
+        if self.cancel is not None and self.cancel.is_set():
+            raise BudgetExceededError("incremental solve cancelled")
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceededError("incremental solve time limit exceeded")
 
 
 @dataclass
@@ -315,27 +331,14 @@ class IncrementalSolver:
             successor, digest = apply_delta(self._graph, delta)
         k = self._k
 
-        check_budget = self._budget(started, time_limit, cancel)
-        report = self._try_incremental(successor, digest, delta, check_budget)
+        budget = _Budget(started, time_limit, cancel)
+        report = self._try_incremental(successor, digest, delta, budget)
         if report is None or report.fallback_reason is not None:
             reason = report.fallback_reason if report is not None else "no-epoch"
-            report = self._full_apply(successor, digest, k, reason, check_budget)
+            report = self._full_apply(successor, digest, k, reason, budget)
         report.parent_digest = parent_digest or ""
         report.elapsed_seconds = time.monotonic() - started
         return report
-
-    def _budget(
-        self, started: float, time_limit: Optional[float], cancel
-    ) -> Callable[[], None]:
-        deadline = started + time_limit if time_limit is not None else None
-
-        def check_budget() -> None:
-            if cancel is not None and cancel.is_set():
-                raise BudgetExceededError("incremental solve cancelled")
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExceededError("incremental solve time limit exceeded")
-
-        return check_budget
 
     def _full_apply(
         self,
@@ -343,10 +346,19 @@ class IncrementalSolver:
         succ_digest: str,
         k: int,
         reason: Optional[str],
-        check_budget: Callable[[], None],
+        budget: _Budget,
     ) -> DeltaSolveReport:
-        check_budget()
-        result = self._solver.solve(successor, k)
+        budget()
+        time_limit = None
+        if budget.deadline is not None:
+            # Positive even when the check above passed on the last tick.
+            time_limit = max(budget.deadline - time.monotonic(), 1e-6)
+        result = self._solver.solve(successor, k, time_limit=time_limit, cancel=budget.cancel)
+        if not result.optimal:
+            # Tripped by apply()'s own budget: commit nothing, like the
+            # incremental route.  A limit in the solver's config still
+            # installs the truncated answer (and drops the epoch).
+            budget()
         self._install(successor, succ_digest, k, result)
         n = successor.num_vertices
         return DeltaSolveReport(
@@ -366,7 +378,7 @@ class IncrementalSolver:
         successor: Graph,
         succ_digest: str,
         delta: EdgeDelta,
-        check_budget: Callable[[], None],
+        budget: _Budget,
     ) -> Optional[DeltaSolveReport]:
         """The affected-anchors route, or a fallback-tagged report when a
         guard fails (``None`` only when there is no epoch at all)."""
@@ -385,7 +397,7 @@ class IncrementalSolver:
         report = None
         try:
             report = self._resolve_affected(
-                epoch, rel_delta, successor, succ_digest, check_budget
+                epoch, rel_delta, successor, succ_digest, budget
             )
         finally:
             if report is None or not report.incremental:
@@ -407,7 +419,7 @@ class IncrementalSolver:
         rel_delta: EdgeDelta,
         successor: Graph,
         succ_digest: str,
-        check_budget: Callable[[], None],
+        budget: _Budget,
     ) -> DeltaSolveReport:
         """Re-solve the anchors ``rel_delta`` affects on ``epoch.graph``, which
         already carries it: commit and report, or report a fallback."""
@@ -438,23 +450,13 @@ class IncrementalSolver:
         carry = self._open_carry(succ_digest, unaffected)
         incumbent = list(best)
         stats = SearchStats()
-        config = self._solver.config
         solve_started = time.monotonic()
         try:
-            if config.workers and config.workers > 1 and affected:
-                from ..core.parallel import solve_decomposed_parallel
-
-                solve_decomposed_parallel(
-                    rel_successor, k, config, stats, check_budget, incumbent,
-                    decomposition=(epoch.ordering, epoch.position),
-                    checkpoint=carry,
-                )
-            else:
-                solve_decomposed(
-                    rel_successor, k, config, stats, check_budget, incumbent,
-                    decomposition=(epoch.ordering, epoch.position),
-                    checkpoint=carry,
-                )
+            solve_decomposed(
+                rel_successor, k, self._solver.config, stats, budget, incumbent,
+                decomposition=(epoch.ordering, epoch.position),
+                checkpoint=carry, deadline=budget.deadline,
+            )
         except BaseException:
             # Keep the journal for a same-delta retry; commit nothing.
             carry.close()
@@ -512,7 +514,7 @@ class IncrementalSolver:
         in-memory otherwise; either way the journal holds only the
         *affected* anchors completed so far — the unaffected set is
         recomputed deterministically from the delta on every attempt and
-        merged in before the drivers snapshot ``completed``, so a resumed
+        merged in before the driver snapshots ``completed``, so a resumed
         attempt skips both carried-over and already-re-solved anchors.
         """
         carry = None

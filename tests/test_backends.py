@@ -10,6 +10,7 @@ from repro.core import (
     KDCSolver,
     SolverConfig,
     is_k_defective_clique,
+    prepare_instance,
     solve_decomposed,
     variant_config,
 )
@@ -56,9 +57,14 @@ class TestDispatch:
         result = KDCSolver(SolverConfig(backend="auto")).solve(g, 2)
         assert result.stats.backend == "bitset"
 
-    def test_auto_uses_set_on_tiny_instances(self):
-        result = KDCSolver(SolverConfig(backend="auto")).solve(complete_graph(6), 1)
-        assert result.stats.backend == "set"
+    def test_auto_uses_bitset_on_tiny_instances(self):
+        g = gnp_random_graph(24, 0.5, seed=3)
+        config = SolverConfig(backend="auto")
+        prepared = prepare_instance(g, 2, config)
+        assert 0 < prepared.working_n < 32
+        result = KDCSolver(config).solve_prepared(prepared)
+        assert result.stats.backend == "bitset"
+        assert result.size == KDCSolver(SolverConfig(backend="set")).solve(g, 2).size
 
     def test_planted_clique_recovered_by_bitset(self):
         g = planted_defective_clique_graph(90, 12, 3, background_p=0.05, seed=3)
@@ -84,12 +90,13 @@ class TestDecomposition:
             assert result.size == expected
             assert is_k_defective_clique(g, result.clique, k)
 
-    def test_solve_decomposed_requires_usable_incumbent(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_solve_decomposed_requires_usable_incumbent(self, workers):
         g = gnp_random_graph(30, 0.3, seed=9)
         relabeled, _, _ = g.relabel()
         with pytest.raises(ValueError):
             solve_decomposed(
-                relabeled, k=3, config=SolverConfig(), stats=SearchStats(),
+                relabeled, k=3, config=SolverConfig(workers=workers), stats=SearchStats(),
                 check_budget=lambda: None, incumbent=[0],
             )
 

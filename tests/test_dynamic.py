@@ -10,6 +10,7 @@ backend × workers cells.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.dynamic import (
     apply_delta,
 )
 from repro.exceptions import (
+    BudgetExceededError,
     EdgeNotFoundError,
     InvalidParameterError,
     SelfLoopError,
@@ -314,6 +316,22 @@ class TestIncrementalSolverDifferential:
         assert report.fallback_reason.startswith("affected-")
         successor, _ = apply_delta(graph, delta)
         assert report.result.size == KDCSolver(SolverConfig()).solve(successor, 1).size
+
+    def test_full_solve_fallback_honours_apply_budget(self):
+        # The full-solve fallback (forced by max_affected_fraction=0) is a
+        # ~1 s solve here; apply()'s time_limit must cut it short and leave
+        # the tracker on the predecessor, as a trip in the incremental
+        # route does.
+        graph = gnp_random_graph(120, 0.3, seed=5)
+        tracker = IncrementalSolver(SolverConfig(), max_affected_fraction=0.0)
+        tracker.solve(graph, 2)
+        before = tracker.digest
+        delta = random_delta(graph, random.Random(1), n_adds=1, n_removes=0)
+        started = time.monotonic()
+        with pytest.raises(BudgetExceededError):
+            tracker.apply(delta, time_limit=0.05)
+        assert time.monotonic() - started < 0.5
+        assert tracker.digest == before
 
     def test_removal_only_delta_is_pure_reuse(self):
         """A removal that spares the witness re-solves zero anchors."""

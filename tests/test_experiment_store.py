@@ -446,3 +446,36 @@ class TestExperimentsCli:
     def test_paper_experiments_still_work(self, capsys):
         assert main(["experiments", "table4", "--scale", "tiny"]) == 0
         assert "Table 4" in capsys.readouterr().out
+
+
+class TestBenchRecorder:
+    """``benchmarks/_bench_utils.py`` flushes into the store and nowhere else."""
+
+    @pytest.fixture
+    def bench_utils(self, tmp_path, monkeypatch):
+        benchmarks = os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmarks")
+        monkeypatch.syspath_prepend(benchmarks)
+        monkeypatch.setenv("REPRO_BENCH_DB", str(tmp_path / "trajectory.sqlite"))
+        monkeypatch.chdir(tmp_path)
+        import _bench_utils
+
+        return _bench_utils
+
+    def test_kdc_and_kdc_t_rows_keep_their_own_cells(self, tmp_path, bench_utils):
+        from repro.core import find_maximum_defective_clique
+        from repro.graphs import gnp_random_graph
+
+        graph = gnp_random_graph(30, 0.3, seed=1)
+        recorder = bench_utils.BenchRecorder("ablation_probe")
+        for variant in ("kDC", "kDC-t"):
+            result = find_maximum_defective_clique(graph, 2, variant=variant)
+            assert result.stats.backend == "bitset"
+            recorder.record_solve("g30", result, k=2, column=variant)
+        db = str(tmp_path / "trajectory.sqlite")
+        assert recorder.write() == db
+        assert recorder.write() is None  # nothing new: no second run
+        with ExperimentStore(db) as store:
+            assert len(store.runs()) == 1
+            rows = store.rows()
+        assert sorted(row["algorithm"] for row in rows) == ["kDC", "kDC-t"]
+        assert os.listdir(tmp_path) == ["trajectory.sqlite"]

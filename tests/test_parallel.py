@@ -1,4 +1,4 @@
-"""Tests for the parallel decomposition driver: budgets, wiring, re-entrancy."""
+"""Tests for the decomposition's worker pool: budgets, wiring, re-entrancy."""
 
 from __future__ import annotations
 
@@ -15,9 +15,7 @@ from repro.core import (
     SolverConfig,
     build_ego_subproblem,
     is_k_defective_clique,
-    solve_decomposed_parallel,
 )
-from repro.core.result import SearchStats
 from repro.exceptions import InvalidParameterError
 from repro.graphs import gnp_random_graph, write_edge_list
 
@@ -123,15 +121,6 @@ class TestBudgetPropagation:
         assert not result.optimal
         margin = 2 * 64
         assert result.stats.nodes <= 100 + margin, result.stats.nodes
-
-    def test_solve_decomposed_parallel_requires_usable_incumbent(self):
-        graph = gnp_random_graph(30, 0.3, seed=9)
-        relabeled, _, _ = graph.relabel()
-        with pytest.raises(ValueError):
-            solve_decomposed_parallel(
-                relabeled, k=3, config=SolverConfig(workers=2), stats=SearchStats(),
-                check_budget=lambda: None, incumbent=[0],
-            )
 
 
 class TestWorkerLoss:

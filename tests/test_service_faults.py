@@ -474,6 +474,22 @@ class TestParallelWorkerFaults:
         # the degradation is recorded: recovery ran sequentially
         assert result.stats.workers == 1
 
+    def test_lost_worker_remainder_is_journaled(self, tmp_path, parallel_graph, parallel_config):
+        """The anchors the pool lost are searched in-process *and* journaled."""
+        from repro.core import SolveCheckpoint, checkpoint_meta, prepare_instance
+
+        expected = sequential_answer(parallel_graph, self.K)
+        prepared = prepare_instance(parallel_graph, self.K, parallel_config)
+        meta = checkpoint_meta("g", self.K, "kDC", parallel_config)
+        checkpoint = SolveCheckpoint(str(tmp_path / "c.wal"), meta)
+        with FaultInjector().add("parallel.batch", kill=True, times=1, match={"index": 0}):
+            result = KDCSolver(parallel_config).solve_prepared(prepared, checkpoint=checkpoint)
+        checkpoint.close()
+        assert result.optimal
+        assert result.size == expected.size
+        assert result.stats.workers == 1
+        assert set(prepared.ordering) <= checkpoint.completed
+
     def test_phantom_bound_is_audited_away(self, parallel_graph, parallel_config):
         """A worker publishing an unbacked bound and dying must not shrink the answer.
 
