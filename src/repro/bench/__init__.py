@@ -29,10 +29,7 @@ from .runner import MatrixSpec, RunReport, run_matrix
 from .store import (
     KEYFIELDS,
     RESULTFIELDS,
-    CellComparison,
-    ComparisonReport,
     ExperimentStore,
-    compare_runs,
     split_record,
 )
 
@@ -40,9 +37,6 @@ __all__ = [
     "KEYFIELDS",
     "RESULTFIELDS",
     "ExperimentStore",
-    "CellComparison",
-    "ComparisonReport",
-    "compare_runs",
     "split_record",
     "MatrixSpec",
     "RunReport",

@@ -11,8 +11,9 @@ The grid is normalised rather than taken as a raw cross product: the
 ``KDBB``/``MADEC`` baselines have a single implementation and reject
 backend/workers selection, so they contribute one cell per
 ``(instance, k)``.  The store's ``engine`` keyfield is ``"trail"`` on the
-other non-set cells and ``""`` elsewhere — what it held while the bitset
-backend had two engines, so old and new runs pair cell for cell.
+other non-set cells and ``""`` elsewhere, what it held while the bitset
+backend had two engines; nothing pairs cells by it any more, and the column
+stays so existing stores keep their schema.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ tables):
   ``complete``);
 * ``experiments`` — one row per completed cell, keyed by the **keyfields**
   ``(collection, instance, k, algorithm, backend, engine, workers)`` —
-  ``engine`` is ``"trail"`` for bitset cells and ``""`` otherwise, kept so
-  stores written while a second bitset engine existed still pair their
-  cells — with the **resultfields** ``size``/``optimal``/``nodes``/``elapsed_seconds``/
+  ``engine`` is ``"trail"`` for bitset cells and ``""`` otherwise; nothing
+  pairs cells by it any more, and the column stays so existing stores keep
+  their schema — with the **resultfields** ``size``/``optimal``/``nodes``/``elapsed_seconds``/
   ``node_throughput`` plus the request-level phase timings
   (``prepare_ms``/``queue_ms``/``solve_ms``/``cache_hit``) introduced by the
   solver service.  Unmapped fields survive in an ``extra`` JSON column.
@@ -24,13 +24,6 @@ tables):
   checkpointable: a cell either exists or it does not;
 * ``logs`` — an append-only event stream per run (begin/resume/cell_done/
   interrupted/...), the debugging trail of long campaigns.
-
-On top of the storage, :func:`compare_runs` implements the regression gate:
-it groups two runs' rows by ``(backend, engine)`` cell, compares median
-node throughput (nodes / elapsed second), and flags any cell whose median
-dropped by more than ``threshold`` (default 20%).  ``repro experiments
-compare`` turns a flagged report into a non-zero exit code, which is what
-the CI ``perf-gate`` job enforces.
 
 For ad-hoc analysis, :func:`query_store` runs read-only SQL (the database
 is opened in SQLite's ``mode=ro``; only ``SELECT``/``WITH``/``EXPLAIN``
@@ -48,9 +41,7 @@ import sqlite3
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, field
-from statistics import median
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import InvalidParameterError
 
@@ -59,9 +50,6 @@ __all__ = [
     "RESULTFIELDS",
     "CANNED_REPORTS",
     "ExperimentStore",
-    "CellComparison",
-    "ComparisonReport",
-    "compare_runs",
     "query_store",
     "split_record",
 ]
@@ -264,16 +252,11 @@ class ExperimentStore:
             out.append(data)
         return out
 
-    def latest_run(
-        self,
-        label: Optional[str] = None,
-        exclude: Sequence[int] = (),
-        with_cells: bool = False,
-    ) -> Optional[int]:
+    def latest_run(self, label: Optional[str] = None, with_cells: bool = False) -> Optional[int]:
         """Return the most recent run id (optionally filtered), or ``None``.
 
         ``with_cells`` restricts the search to runs that recorded at least
-        one experiment row — what ``compare`` wants as its endpoints.
+        one experiment row — what ``experiments export`` picks by default.
         """
         query = "SELECT run_id FROM runs"
         clauses, params = [], []
@@ -282,9 +265,6 @@ class ExperimentStore:
             params.append(label)
         if with_cells:
             clauses.append("run_id IN (SELECT DISTINCT run_id FROM experiments)")
-        for run_id in exclude:
-            clauses.append("run_id != ?")
-            params.append(run_id)
         if clauses:
             query += " WHERE " + " AND ".join(clauses)
         query += " ORDER BY run_id DESC LIMIT 1"
@@ -454,133 +434,6 @@ class ExperimentStore:
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-
-# ---------------------------------------------------------------------- #
-# Regression comparison
-# ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class CellComparison:
-    """Median node-throughput comparison of one (backend, engine) cell."""
-
-    backend: str
-    engine: str
-    baseline_median: Optional[float]
-    candidate_median: Optional[float]
-    baseline_rows: int
-    candidate_rows: int
-    regressed: bool
-
-    @property
-    def ratio(self) -> Optional[float]:
-        """candidate / baseline median throughput (None when either side is missing)."""
-        if not self.baseline_median or self.candidate_median is None:
-            return None
-        return self.candidate_median / self.baseline_median
-
-
-@dataclass
-class ComparisonReport:
-    """Outcome of :func:`compare_runs`: per-cell medians and the verdict."""
-
-    threshold: float
-    cells: List[CellComparison] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> List[CellComparison]:
-        return [c for c in self.cells if c.regressed]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-    def format_table(self) -> str:
-        """Human-readable per-cell summary (one line per (backend, engine))."""
-        lines = [
-            f"{'backend':<8} {'engine':<6} {'baseline nps':>14} {'candidate nps':>14}"
-            f" {'ratio':>7}  status"
-        ]
-        for cell in self.cells:
-            base = f"{cell.baseline_median:.1f}" if cell.baseline_median is not None else "-"
-            cand = f"{cell.candidate_median:.1f}" if cell.candidate_median is not None else "-"
-            ratio = f"{cell.ratio:.3f}" if cell.ratio is not None else "-"
-            status = "REGRESSED" if cell.regressed else "ok"
-            lines.append(
-                f"{cell.backend or '-':<8} {cell.engine or '-':<6} {base:>14} {cand:>14}"
-                f" {ratio:>7}  {status}"
-            )
-        verdict = (
-            "PASS: no cell regressed"
-            if self.ok
-            else f"FAIL: {len(self.regressions)} cell(s) regressed more than"
-            f" {self.threshold:.0%} in median node throughput"
-        )
-        lines.append(verdict)
-        return "\n".join(lines)
-
-
-def _throughput_samples(rows: Iterable[Dict[str, object]]) -> Dict[Tuple[str, str], List[float]]:
-    """Group usable throughput samples by (backend, engine).
-
-    Cache hits and rows without real search work (no nodes, or zero elapsed
-    time) carry no throughput signal and are excluded.
-    """
-    samples: Dict[Tuple[str, str], List[float]] = {}
-    for row in rows:
-        if row.get("cache_hit"):
-            continue
-        throughput = row.get("node_throughput")
-        if throughput is None:
-            nodes, elapsed = row.get("nodes"), row.get("elapsed_seconds")
-            if not nodes or not elapsed or float(elapsed) <= 0:
-                continue
-            throughput = float(nodes) / float(elapsed)
-        if throughput <= 0:
-            continue
-        key = (str(row.get("backend") or ""), str(row.get("engine") or ""))
-        samples.setdefault(key, []).append(float(throughput))
-    return samples
-
-
-def compare_runs(
-    baseline_rows: Iterable[Dict[str, object]],
-    candidate_rows: Iterable[Dict[str, object]],
-    threshold: float = 0.20,
-) -> ComparisonReport:
-    """Diff two runs' rows; flag >``threshold`` median-throughput drops.
-
-    A cell regresses when its candidate median node throughput falls below
-    ``(1 - threshold)`` times the baseline median.  Cells present on only
-    one side are reported but never flagged (a new backend has no baseline;
-    a removed one has no candidate).
-    """
-    if not 0 < threshold < 1:
-        raise InvalidParameterError("threshold must be a fraction in (0, 1)")
-    baseline = _throughput_samples(baseline_rows)
-    candidate = _throughput_samples(candidate_rows)
-    report = ComparisonReport(threshold=threshold)
-    for key in sorted(set(baseline) | set(candidate)):
-        base_samples = baseline.get(key, [])
-        cand_samples = candidate.get(key, [])
-        base_median = median(base_samples) if base_samples else None
-        cand_median = median(cand_samples) if cand_samples else None
-        regressed = (
-            base_median is not None
-            and cand_median is not None
-            and cand_median < (1.0 - threshold) * base_median
-        )
-        report.cells.append(
-            CellComparison(
-                backend=key[0],
-                engine=key[1],
-                baseline_median=base_median,
-                candidate_median=cand_median,
-                baseline_rows=len(base_samples),
-                candidate_rows=len(cand_samples),
-                regressed=regressed,
-            )
-        )
-    return report
 
 
 # --------------------------------------------------------------------------- #

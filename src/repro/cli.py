@@ -14,12 +14,10 @@ Sub-commands
 * ``experiments`` — run one of the paper's table/figure reproductions, or
   drive the SQLite experiment store: ``experiments run`` executes the
   instance × k × algorithm × backend × workers matrix with per-cell
-  checkpoints (interrupted campaigns resume), ``experiments compare``
-  diffs a fresh run against the stored trajectory and exits non-zero on a
-  >20% median node-throughput regression in any (backend, engine) cell of
-  the store, ``experiments export`` dumps a run as JSON, and
-  ``experiments query`` runs read-only SQL (or a canned trend report such
-  as ``--report throughput-trend``) with table or CSV output;
+  checkpoints (interrupted campaigns resume), ``experiments export`` dumps
+  a run as JSON, and ``experiments query`` runs read-only SQL (or a canned
+  trend report such as ``--report throughput-trend``) with table or CSV
+  output;
 * ``stats``       — print structural statistics of a graph file;
 * ``generate``    — write a synthetic collection to disk as edge-list files;
 * ``gamma``       — print the theoretical branching factors γ_k and σ_k;
@@ -134,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiments = subparsers.add_parser(
         "experiments",
-        help="paper reproductions plus the SQLite experiment store (run/compare/export)",
+        help="paper reproductions plus the SQLite experiment store (run/export/query)",
     )
     exp_sub = experiments.add_subparsers(dest="name", required=True, metavar="NAME")
     for exp_name in sorted(EXPERIMENTS):
@@ -180,31 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-resume",
         action="store_true",
         help="always start a fresh run row instead of resuming an unfinished campaign",
-    )
-
-    exp_compare = exp_sub.add_parser(
-        "compare",
-        help="diff a fresh run against the stored trajectory; exits 1 when any "
-        "(backend, engine) cell's median node throughput regressed by more "
-        "than the threshold",
-    )
-    exp_compare.add_argument("--db", default="experiments.sqlite", help="candidate experiment store")
-    exp_compare.add_argument(
-        "--baseline-db",
-        default=None,
-        help="baseline experiment store (default: the candidate store itself)",
-    )
-    exp_compare.add_argument(
-        "--baseline", type=int, default=None, help="baseline run id (default: latest before the candidate)"
-    )
-    exp_compare.add_argument(
-        "--candidate", type=int, default=None, help="candidate run id (default: latest run with cells)"
-    )
-    exp_compare.add_argument(
-        "--threshold",
-        type=float,
-        default=0.20,
-        help="regression threshold as a fraction of baseline median throughput (default 0.20)",
     )
 
     exp_export = exp_sub.add_parser(
@@ -432,8 +405,6 @@ def _cmd_properties(args: argparse.Namespace) -> int:
 def _cmd_experiments(args: argparse.Namespace) -> int:
     if args.name == "run":
         return _cmd_experiments_run(args)
-    if args.name == "compare":
-        return _cmd_experiments_compare(args)
     if args.name == "export":
         return _cmd_experiments_export(args)
     if args.name == "query":
@@ -485,43 +456,6 @@ def _cmd_experiments_run(args: argparse.Namespace) -> int:
         )
     print(report.summary())
     return 0
-
-
-def _cmd_experiments_compare(args: argparse.Namespace) -> int:
-    from .bench.store import ExperimentStore, compare_runs
-
-    baseline_db = args.baseline_db if args.baseline_db is not None else args.db
-    same_db = os.path.abspath(baseline_db) == os.path.abspath(args.db)
-    with ExperimentStore(args.db) as candidate_store:
-        candidate_run = args.candidate
-        if candidate_run is None:
-            candidate_run = candidate_store.latest_run(with_cells=True)
-        if candidate_run is None:
-            raise ReproError(f"no runs with recorded cells in {args.db}")
-        candidate_rows = candidate_store.rows(candidate_run)
-
-        baseline_store = candidate_store if same_db else ExperimentStore(baseline_db)
-        try:
-            baseline_run = args.baseline
-            if baseline_run is None:
-                # In a single store, compare the candidate against the run
-                # before it; across two stores, against the baseline's latest.
-                exclude = (candidate_run,) if same_db else ()
-                baseline_run = baseline_store.latest_run(with_cells=True, exclude=exclude)
-                if baseline_run is None and same_db:
-                    baseline_run = candidate_run  # only one run: self-compare
-            if baseline_run is None:
-                raise ReproError(f"no baseline runs with recorded cells in {baseline_db}")
-            baseline_rows = baseline_store.rows(baseline_run)
-        finally:
-            if not same_db:
-                baseline_store.close()
-
-    print(f"baseline: run {baseline_run} of {baseline_db}")
-    print(f"candidate: run {candidate_run} of {args.db}")
-    report = compare_runs(baseline_rows, candidate_rows, threshold=args.threshold)
-    print(report.format_table())
-    return 0 if report.ok else 1
 
 
 def _cmd_experiments_export(args: argparse.Namespace) -> int:

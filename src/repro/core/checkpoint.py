@@ -69,6 +69,7 @@ __all__ = [
     "atomic_write_bytes",
     "checkpoint_meta",
     "checkpoint_token",
+    "incumbent_defect",
     "read_records",
 ]
 
@@ -209,6 +210,24 @@ def checkpoint_token(meta: Dict[str, Any]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
 
 
+def incumbent_defect(
+    incumbent: Sequence[int], neighbors: Callable[[int], Sequence[int]], k: int
+) -> Optional[str]:
+    """Why ``incumbent`` is not a k-defective clique under ``neighbors``, or ``None``."""
+    if len(set(incumbent)) != len(incumbent):
+        return "has duplicates"
+    missing = 0
+    try:
+        for i, u in enumerate(incumbent):
+            nbrs = set(neighbors(u))
+            missing += sum(1 for w in incumbent[i + 1:] if w not in nbrs)
+    except Exception:
+        return "references unknown vertices"
+    if missing > k:
+        return f"is not a valid {k}-defective clique ({missing} missing edges)"
+    return None
+
+
 class SolveCheckpoint:
     """Append-only journal of one decomposed solve's completed subproblems.
 
@@ -325,28 +344,9 @@ class SolveCheckpoint:
         incumbent = self._incumbent
         if not incumbent:
             return []
-        if len(set(incumbent)) != len(incumbent):
-            logger.warning("checkpoint %s: journaled incumbent has duplicates; discarded", self.path)
-            return []
-        missing = 0
-        try:
-            for i, u in enumerate(incumbent):
-                nbrs = set(neighbors(u))
-                for w in incumbent[i + 1:]:
-                    if w not in nbrs:
-                        missing += 1
-        except Exception:
-            logger.warning(
-                "checkpoint %s: journaled incumbent references unknown vertices; discarded",
-                self.path,
-            )
-            return []
-        if missing > k:
-            logger.warning(
-                "checkpoint %s: journaled incumbent is not a valid %d-defective clique "
-                "(%d missing edges); discarded",
-                self.path, k, missing,
-            )
+        defect = incumbent_defect(incumbent, neighbors, k)
+        if defect is not None:
+            logger.warning("checkpoint %s: journaled incumbent %s; discarded", self.path, defect)
             return []
         return list(incumbent)
 

@@ -47,7 +47,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.checkpoint import SolveCheckpoint, checkpoint_meta, checkpoint_token
+from ..core.checkpoint import SolveCheckpoint, checkpoint_meta, checkpoint_token, incumbent_defect
 from ..core.decompose import solve_decomposed
 from ..core.result import SearchStats, SolveResult
 from ..core.solver import KDCSolver
@@ -77,16 +77,9 @@ class _MemoryCarry:
 
     def verified_incumbent(self, neighbors: Callable[[int], Sequence[int]], k: int) -> List[int]:
         vs = self._incumbent
-        if not vs or len(set(vs)) != len(vs):
+        if not vs or incumbent_defect(vs, neighbors, k) is not None:
             return []
-        missing = 0
-        try:
-            for i, u in enumerate(vs):
-                nbrs = set(neighbors(u))
-                missing += sum(1 for w in vs[i + 1:] if w not in nbrs)
-        except Exception:
-            return []
-        return list(vs) if missing <= k else []
+        return list(vs)
 
     def record(self, anchor: int, incumbent: Sequence[int]) -> None:
         if anchor in self.completed:
@@ -431,7 +424,7 @@ class IncrementalSolver:
         best = epoch.best
         if len(best) < k + 1:
             return self._fallback(succ_digest, "incumbent-below-k+1")
-        if self._missing_edges(rel_successor, best) > k:
+        if rel_successor.count_missing_edges(best) > k:
             return self._fallback(succ_digest, "witness-broken")
 
         affected = affected_anchors(rel_successor, epoch.position, rel_delta, k)
@@ -538,11 +531,3 @@ class IncrementalSolver:
             self._pending = (succ_digest, carry)
         carry.completed.update(unaffected)
         return carry
-
-    @staticmethod
-    def _missing_edges(graph: Graph, vertices: Sequence[int]) -> int:
-        missing = 0
-        for i, u in enumerate(vertices):
-            nbrs = graph.neighbors(u)
-            missing += sum(1 for w in vertices[i + 1:] if w not in nbrs)
-        return missing

@@ -59,7 +59,7 @@ import logging
 import os
 import pickle
 import threading
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Iterator, List, Mapping, Optional, Tuple
 
 from ..core.checkpoint import (
     SolveCheckpoint,
@@ -85,6 +85,104 @@ def _prepared_token(key: Tuple) -> str:
     return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:32]
 
 
+def _result_entry(key, result) -> Tuple[Tuple, SolveResult]:
+    if not isinstance(result, SolveResult):
+        raise TypeError(f"expected a SolveResult, got {type(result).__name__}")
+    return tuple(key), result
+
+
+def _delta_entry(parent, child, name, adds, removes) -> Tuple[str, str, Optional[str], Tuple, Tuple]:
+    return parent, child, name, tuple(adds), tuple(removes)
+
+
+class _Journal:
+    """One checksummed append-only journal of pickled tuples.
+
+    The results journal and the delta journal share this code and differ
+    only in ``entry``, which turns one replayed record into an entry.
+    ``lock`` is the owning :class:`ServicePersistence`'s.
+    """
+
+    def __init__(self, path: str, entry: Callable[..., Tuple], what: str, lock) -> None:
+        self.path = path
+        self._entry = entry
+        self._what = what
+        self._lock = lock
+        self._fh = None
+        self._validated = False
+        self._closed = False
+
+    def _truncate(self, size: int) -> None:
+        with open(self.path, "rb+") as fh:
+            fh.truncate(size)
+
+    def replay(self) -> List[Tuple]:
+        """Replay the journal, truncating any damaged tail; unreadable
+        records within the valid prefix are skipped with a warning."""
+        with self._lock:
+            scan = read_records(self.path)
+            if scan.damaged:
+                try:
+                    self._truncate(scan.valid_bytes)
+                except OSError as exc:
+                    logger.warning(
+                        "could not truncate damaged %s journal %s: %s", self._what, self.path, exc
+                    )
+            self._validated = True
+        entries = []
+        for raw in scan.records:
+            try:
+                entries.append(self._entry(*pickle.loads(raw)))
+            except Exception as exc:
+                logger.warning("skipping unreadable %s-journal record: %s", self._what, exc)
+        return entries
+
+    def append(self, record: Tuple) -> None:
+        """Append one record: one write, flushed and fsynced before returning."""
+        with self._lock:
+            if self._closed:
+                return
+            if not self._validated:
+                # Never append after an unvalidated (possibly damaged) tail.
+                scan = read_records(self.path)
+                if scan.damaged:
+                    self._truncate(scan.valid_bytes)
+                self._validated = True
+            if self._fh is None:
+                self._fh = open(self.path, "ab")
+            append_record(self._fh, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+
+    def rewrite(self, entries) -> None:
+        """Atomically replace the journal with ``entries`` (compaction)."""
+        buffer = io.BytesIO()
+        for entry in entries:
+            append_record(buffer, pickle.dumps(tuple(entry), protocol=pickle.HIGHEST_PROTOCOL))
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
+            atomic_write_bytes(self.path, buffer.getvalue())
+            self._validated = True
+
+    def close(self) -> None:
+        """Stop appending; flush and close the handle.  The caller holds the lock."""
+        self._closed = True
+        if self._fh is None:
+            return
+        try:
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+        except OSError:
+            pass
+        try:
+            self._fh.close()
+        except OSError:
+            pass
+        self._fh = None
+
+
 class ServicePersistence:
     """Filesystem-backed durability for one solver service instance.
 
@@ -108,10 +206,8 @@ class ServicePersistence:
         for directory in (self.graphs_dir, self.prepared_dir, self.checkpoints_dir):
             os.makedirs(directory, exist_ok=True)
         self._lock = threading.Lock()
-        self._results_fh = None
-        self._results_validated = False
-        self._deltas_fh = None
-        self._deltas_validated = False
+        self._results = _Journal(self.results_path, _result_entry, "results", self._lock)
+        self._deltas = _Journal(self.deltas_path, _delta_entry, "delta", self._lock)
         #: Solve-identity tokens with a live checkpoint handle: two
         #: concurrent solves of the same identity (same digest/k/config but
         #: e.g. different budgets, so they do not coalesce upstream) must
@@ -192,62 +288,15 @@ class ServicePersistence:
         incompatible version) are skipped with a warning; the damaged-tail
         truncation makes later appends land on a valid record boundary.
         """
-        with self._lock:
-            scan = read_records(self.results_path)
-            if scan.damaged:
-                try:
-                    with open(self.results_path, "rb+") as fh:
-                        fh.truncate(scan.valid_bytes)
-                except OSError as exc:
-                    logger.warning(
-                        "could not truncate damaged results journal %s: %s",
-                        self.results_path, exc,
-                    )
-            self._results_validated = True
-        entries: List[Tuple[Tuple, SolveResult]] = []
-        for raw in scan.records:
-            try:
-                key, result = pickle.loads(raw)
-                if not isinstance(result, SolveResult):
-                    raise TypeError(f"expected a SolveResult, got {type(result).__name__}")
-            except Exception as exc:
-                logger.warning("skipping unreadable results-journal record: %s", exc)
-                continue
-            entries.append((tuple(key), result))
-        return entries
+        return self._results.replay()
 
     def append_result(self, key: Tuple, result: SolveResult) -> None:
         """Append one optimal result to the journal (fsynced)."""
-        with self._lock:
-            if self._closed:
-                return
-            if not self._results_validated:
-                # Never append after an unvalidated (possibly damaged) tail.
-                scan = read_records(self.results_path)
-                if scan.damaged:
-                    with open(self.results_path, "rb+") as fh:
-                        fh.truncate(scan.valid_bytes)
-                self._results_validated = True
-            if self._results_fh is None:
-                self._results_fh = open(self.results_path, "ab")
-            append_record(
-                self._results_fh,
-                pickle.dumps((key, result), protocol=pickle.HIGHEST_PROTOCOL),
-            )
-            self._results_fh.flush()
-            os.fsync(self._results_fh.fileno())
+        self._results.append((key, result))
 
     def rewrite_results(self, entries: List[Tuple[Tuple, SolveResult]]) -> None:
         """Atomically replace the results journal with ``entries`` (compaction)."""
-        buffer = io.BytesIO()
-        for key, result in entries:
-            append_record(buffer, pickle.dumps((key, result), protocol=pickle.HIGHEST_PROTOCOL))
-        with self._lock:
-            if self._results_fh is not None:
-                self._results_fh.close()
-                self._results_fh = None
-            atomic_write_bytes(self.results_path, buffer.getvalue())
-            self._results_validated = True
+        self._results.rewrite(entries)
 
     # ------------------------------------------------------------------ #
     # Edge-delta journal
@@ -259,62 +308,15 @@ class ServicePersistence:
         append (i.e. mutation) order; unreadable records within the valid
         prefix are skipped with a warning.
         """
-        with self._lock:
-            scan = read_records(self.deltas_path)
-            if scan.damaged:
-                try:
-                    with open(self.deltas_path, "rb+") as fh:
-                        fh.truncate(scan.valid_bytes)
-                except OSError as exc:
-                    logger.warning(
-                        "could not truncate damaged delta journal %s: %s",
-                        self.deltas_path, exc,
-                    )
-            self._deltas_validated = True
-        entries: List[Tuple[str, str, Optional[str], Tuple, Tuple]] = []
-        for raw in scan.records:
-            try:
-                parent, child, name, adds, removes = pickle.loads(raw)
-            except Exception as exc:
-                logger.warning("skipping unreadable delta-journal record: %s", exc)
-                continue
-            entries.append((parent, child, name, tuple(adds), tuple(removes)))
-        return entries
+        return self._deltas.replay()
 
     def append_delta(self, parent: str, child: str, name: Optional[str], delta) -> None:
         """Append one mutation link to the delta journal (fsynced)."""
-        with self._lock:
-            if self._closed:
-                return
-            if not self._deltas_validated:
-                scan = read_records(self.deltas_path)
-                if scan.damaged:
-                    with open(self.deltas_path, "rb+") as fh:
-                        fh.truncate(scan.valid_bytes)
-                self._deltas_validated = True
-            if self._deltas_fh is None:
-                self._deltas_fh = open(self.deltas_path, "ab")
-            append_record(
-                self._deltas_fh,
-                pickle.dumps(
-                    (parent, child, name, tuple(delta.adds), tuple(delta.removes)),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                ),
-            )
-            self._deltas_fh.flush()
-            os.fsync(self._deltas_fh.fileno())
+        self._deltas.append((parent, child, name, tuple(delta.adds), tuple(delta.removes)))
 
     def rewrite_deltas(self, entries: List[Tuple[str, str, Optional[str], Tuple, Tuple]]) -> None:
         """Atomically replace the delta journal with ``entries`` (compaction)."""
-        buffer = io.BytesIO()
-        for entry in entries:
-            append_record(buffer, pickle.dumps(tuple(entry), protocol=pickle.HIGHEST_PROTOCOL))
-        with self._lock:
-            if self._deltas_fh is not None:
-                self._deltas_fh.close()
-                self._deltas_fh = None
-            atomic_write_bytes(self.deltas_path, buffer.getvalue())
-            self._deltas_validated = True
+        self._deltas.rewrite(entries)
 
     # ------------------------------------------------------------------ #
     # Digest-format upgrade
@@ -411,20 +413,8 @@ class ServicePersistence:
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Flush and close the journal handle (snapshots need no teardown)."""
+        """Flush and close the journal handles (snapshots need no teardown)."""
         with self._lock:
             self._closed = True
-            for attr in ("_results_fh", "_deltas_fh"):
-                fh = getattr(self, attr)
-                if fh is None:
-                    continue
-                try:
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                except OSError:
-                    pass
-                try:
-                    fh.close()
-                except OSError:
-                    pass
-                setattr(self, attr, None)
+            self._results.close()
+            self._deltas.close()

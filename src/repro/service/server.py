@@ -29,7 +29,9 @@ dictionaries with an ``"op"`` field:
 
 Every reply carries ``"ok"``; failures answer ``{"ok": false, "error":
 <message>, "kind": <exception class>}`` — plus ``"retry_after"`` on
-overload sheds — and keep the connection (and the server) alive.  The same
+overload sheds — and keep the connection (and the server) alive.  The one
+exception is a request line longer than 64 MiB: it is answered with an
+``InvalidParameterError`` and its connection is closed.  The same
 :func:`handle_request` dispatch backs the in-process
 :class:`~repro.service.client.Client`, so tests exercise exactly the code
 path the socket serves.
@@ -64,6 +66,12 @@ _DEADLINE_REPLY_GRACE_SECONDS = 5.0
 #: time — but no longer *infinite*: a wedged worker thread answers the
 #: client with a typed error instead of hanging the connection forever.
 _BUDGET_REPLY_GRACE_SECONDS = 30.0
+
+#: Longest request line the server reads, newline included.  The add-graph
+#: line of a graph with about a million edges is about 16 MB.  A longer line
+#: is answered with an error and its connection closed, so a client that
+#: never sends a newline cannot grow the server's memory without limit.
+_MAX_LINE_BYTES = 64 * 1024 * 1024
 
 
 def _reply_timeout(
@@ -170,7 +178,17 @@ class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         server: "ServiceServer" = self.server  # type: ignore[assignment]
         try:
-            for raw in self.rfile:
+            while True:
+                raw = self.rfile.readline(_MAX_LINE_BYTES + 1)
+                if not raw:
+                    return
+                if len(raw) > _MAX_LINE_BYTES:
+                    self._reply({
+                        "ok": False,
+                        "error": f"request line longer than {_MAX_LINE_BYTES} bytes",
+                        "kind": InvalidParameterError.__name__,
+                    })
+                    return
                 line = raw.strip()
                 if not line:
                     continue

@@ -54,14 +54,7 @@ class TestParser:
         assert args.max_cells == 5
         assert args.no_resume
 
-    def test_experiments_compare_and_export_arguments(self):
-        args = build_parser().parse_args(
-            ["experiments", "compare", "--db", "a.sqlite", "--baseline-db", "b.sqlite",
-             "--threshold", "0.3"]
-        )
-        assert args.name == "compare"
-        assert args.baseline_db == "b.sqlite"
-        assert args.threshold == 0.3
+    def test_experiments_export_arguments(self):
         args = build_parser().parse_args(["experiments", "export", "--run", "2"])
         assert args.name == "export"
         assert args.run == 2

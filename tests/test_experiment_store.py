@@ -1,5 +1,5 @@
-"""Tests for the SQLite experiment store, the resumable matrix runner, the
-regression comparator, and the ``repro experiments run/compare/export`` CLI."""
+"""Tests for the SQLite experiment store, the resumable matrix runner, and
+the ``repro experiments run/export`` CLI."""
 
 from __future__ import annotations
 
@@ -9,13 +9,7 @@ import os
 import pytest
 
 from repro.bench.runner import MatrixSpec, run_matrix
-from repro.bench.store import (
-    KEYFIELDS,
-    ComparisonReport,
-    ExperimentStore,
-    compare_runs,
-    split_record,
-)
+from repro.bench.store import KEYFIELDS, ExperimentStore, split_record
 from repro.cli import main
 from repro.exceptions import InvalidParameterError
 
@@ -30,27 +24,6 @@ def _keyfields(instance="g0", k=1, algorithm="kDC", backend="bitset", engine="tr
         "engine": engine,
         "workers": workers,
     }
-
-
-def _seed_run(store, label, cells):
-    """Record one synthetic run; each cell is (instance, backend, engine, nps).
-
-    Every row takes 1 synthetic second, so node throughput == nodes == nps.
-    """
-    run_id = store.begin_run(label=label)
-    for instance, backend, engine, nps in cells:
-        store.record(
-            run_id,
-            _keyfields(instance=instance, backend=backend, engine=engine),
-            {
-                "size": 5,
-                "optimal": True,
-                "nodes": int(nps),
-                "elapsed_seconds": 1.0,
-            },
-        )
-    store.finish_run(run_id)
-    return run_id
 
 
 class TestExperimentStore:
@@ -115,7 +88,6 @@ class TestExperimentStore:
             store.record(full, _keyfields(), {"nodes": 1, "elapsed_seconds": 1.0})
             assert store.latest_run() == full
             assert store.latest_run(with_cells=True) == full
-            assert store.latest_run(with_cells=True, exclude=(full,)) is None
             assert store.find_resumable("abc") == full
             store.finish_run(full, status="complete")
             assert store.find_resumable("abc") is None
@@ -282,92 +254,6 @@ class TestMatrixRunner:
             assert all(len(sizes) == 1 for sizes in by_instance.values())
 
 
-class TestCompareRuns:
-    CELLS = [
-        ("g0", "set", "", 100),
-        ("g1", "set", "", 120),
-        ("g0", "bitset", "trail", 800),
-        ("g1", "bitset", "trail", 1000),
-    ]
-
-    def test_identical_rerun_passes(self):
-        with ExperimentStore() as store:
-            base = _seed_run(store, "base", self.CELLS)
-            cand = _seed_run(store, "cand", self.CELLS)
-            report = compare_runs(store.rows(base), store.rows(cand))
-            assert isinstance(report, ComparisonReport)
-            assert report.ok
-            assert len(report.cells) == 2  # (set, "") and (bitset, trail)
-            assert "PASS" in report.format_table()
-
-    def test_regression_over_threshold_fails(self):
-        degraded = [
-            ("g0", "set", "", 100),
-            ("g1", "set", "", 120),
-            ("g0", "bitset", "trail", 600),  # median 800 -> 650: -18.75%...
-            ("g1", "bitset", "trail", 700),  # both down: median 900 -> 650, -27.8%
-        ]
-        with ExperimentStore() as store:
-            base = _seed_run(store, "base", self.CELLS)
-            cand = _seed_run(store, "cand", degraded)
-            report = compare_runs(store.rows(base), store.rows(cand), threshold=0.20)
-            assert not report.ok
-            regressed = report.regressions
-            assert [(c.backend, c.engine) for c in regressed] == [("bitset", "trail")]
-            assert regressed[0].ratio == pytest.approx(650 / 900)
-            assert "FAIL" in report.format_table()
-            # the set cell did not move and stays green
-            set_cell = next(c for c in report.cells if c.backend == "set")
-            assert not set_cell.regressed
-
-    def test_small_drop_within_threshold_passes(self):
-        slightly_slower = [(i, b, e, nps * 0.9) for i, b, e, nps in self.CELLS]
-        with ExperimentStore() as store:
-            base = _seed_run(store, "base", self.CELLS)
-            cand = _seed_run(store, "cand", slightly_slower)
-            assert compare_runs(store.rows(base), store.rows(cand)).ok
-
-    def test_cache_hits_and_nodeless_rows_are_ignored(self):
-        with ExperimentStore() as store:
-            base = _seed_run(store, "base", self.CELLS)
-            cand = store.begin_run(label="cand")
-            for instance, backend, engine, nps in self.CELLS:
-                store.record(
-                    cand,
-                    _keyfields(instance=instance, backend=backend, engine=engine),
-                    {"nodes": int(nps), "elapsed_seconds": 1.0},
-                )
-            # poison rows that would tank the medians if they counted
-            store.record(
-                cand,
-                _keyfields(instance="cached", backend="bitset", engine="trail"),
-                {"nodes": 1_000_000, "elapsed_seconds": 0.001, "cache_hit": True},
-            )
-            store.record(
-                cand,
-                _keyfields(instance="preprocessed-away", backend="bitset", engine="trail"),
-                {"nodes": 0, "elapsed_seconds": 0.5},
-            )
-            report = compare_runs(store.rows(base), store.rows(cand))
-            assert report.ok
-            bitset = next(c for c in report.cells if c.backend == "bitset")
-            assert bitset.candidate_rows == 2  # the poison rows were excluded
-
-    def test_one_sided_cells_never_flag(self):
-        with ExperimentStore() as store:
-            base = _seed_run(store, "base", [("g0", "set", "", 100)])
-            cand = _seed_run(store, "cand", [("g0", "bitset", "trail", 100)])
-            report = compare_runs(store.rows(base), store.rows(cand))
-            assert report.ok
-            assert len(report.cells) == 2
-
-    def test_threshold_validation(self):
-        with pytest.raises(InvalidParameterError):
-            compare_runs([], [], threshold=0.0)
-        with pytest.raises(InvalidParameterError):
-            compare_runs([], [], threshold=1.5)
-
-
 class TestExperimentsCli:
     def _run_args(self, db, extra=()):
         return [
@@ -379,17 +265,11 @@ class TestExperimentsCli:
             *extra,
         ]
 
-    def test_run_compare_export_round_trip(self, tmp_path, capsys):
+    def test_run_export_round_trip(self, tmp_path, capsys):
         db = str(tmp_path / "exp.sqlite")
         assert main(self._run_args(db)) == 0
         out = capsys.readouterr().out
         assert "complete" in out
-
-        # identical re-run (a second run row): compare passes, exit 0
-        assert main(self._run_args(db, ["--no-resume"])) == 0
-        capsys.readouterr()
-        assert main(["experiments", "compare", "--db", db]) == 0
-        assert "PASS" in capsys.readouterr().out
 
         out_path = str(tmp_path / "run.json")
         assert main(["experiments", "export", "--db", db, "--out", out_path]) == 0
@@ -404,44 +284,6 @@ class TestExperimentsCli:
         assert main(self._run_args(db)) == 0
         out = capsys.readouterr().out
         assert "1 checkpointed" in out and "complete" in out
-
-    def test_compare_detects_synthetic_regression(self, tmp_path, capsys):
-        db = str(tmp_path / "exp.sqlite")
-        cells = TestCompareRuns.CELLS
-        with ExperimentStore(db) as store:
-            _seed_run(store, "base", cells)
-            _seed_run(store, "cand", [(i, b, e, nps * 0.5) for i, b, e, nps in cells])
-        assert main(["experiments", "compare", "--db", db]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out and "REGRESSED" in out
-
-    def test_compare_across_two_stores(self, tmp_path, capsys):
-        baseline_db = str(tmp_path / "baseline.sqlite")
-        candidate_db = str(tmp_path / "candidate.sqlite")
-        cells = TestCompareRuns.CELLS
-        with ExperimentStore(baseline_db) as store:
-            _seed_run(store, "base", cells)
-        with ExperimentStore(candidate_db) as store:
-            _seed_run(store, "cand", cells)
-        assert (
-            main(["experiments", "compare", "--db", candidate_db, "--baseline-db", baseline_db])
-            == 0
-        )
-        capsys.readouterr()
-        # regressed candidate against the same baseline store
-        with ExperimentStore(candidate_db) as store:
-            _seed_run(store, "cand2", [(i, b, e, nps * 0.5) for i, b, e, nps in cells])
-        assert (
-            main(["experiments", "compare", "--db", candidate_db, "--baseline-db", baseline_db])
-            == 1
-        )
-        capsys.readouterr()
-
-    def test_compare_empty_store_is_an_error(self, tmp_path, capsys):
-        db = str(tmp_path / "empty.sqlite")
-        ExperimentStore(db).close()
-        assert main(["experiments", "compare", "--db", db]) == 2
-        assert "error:" in capsys.readouterr().err
 
     def test_paper_experiments_still_work(self, capsys):
         assert main(["experiments", "table4", "--scale", "tiny"]) == 0

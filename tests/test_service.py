@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 import time
 
@@ -19,6 +21,7 @@ from repro.service import (
     handle_request,
     run_server,
 )
+from repro.service import server as server_module
 
 
 @pytest.fixture
@@ -456,6 +459,32 @@ class TestProtocolAndClient:
                 assert second["stats"]["cache_hit"]
                 expected = KDCSolver().solve(graph, 1).size
                 assert first["size"] == expected
+                assert client.shutdown()
+        finally:
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class TestRequestLineBound:
+    def test_oversized_line_is_refused_and_the_server_stays_up(self, monkeypatch):
+        monkeypatch.setattr(server_module, "_MAX_LINE_BYTES", 1024)
+        server = ServiceServer(port=0)
+        thread = threading.Thread(target=run_server, args=(server,), daemon=True)
+        thread.start()
+        host, port = server.address
+        try:
+            # A valid ping padded to 4 KiB: the server must not read it whole.
+            line = json.dumps({"op": "ping", "pad": "x" * 4096}).encode() + b"\n"
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(line)
+                reader = sock.makefile("rb")
+                reply = json.loads(reader.readline())
+                assert reader.readline() == b""  # the server closed the connection
+                reader.close()
+            assert reply["ok"] is False
+            assert reply["kind"] == "InvalidParameterError"
+            with Client.connect(host, port) as client:
+                assert client.ping()
                 assert client.shutdown()
         finally:
             thread.join(timeout=10)
