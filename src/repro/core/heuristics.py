@@ -9,15 +9,28 @@ the preprocessing of the input graph.
 * ``Degen-opt`` (Algorithm 4) additionally runs ``Degen`` inside the subgraph
   induced by every vertex's higher-ranked neighbours and keeps the best of
   the ``n + 1`` solutions; O(δ(G) · m) time.
+
+Both run on adjacency rows (:data:`~repro.graphs.graph.Rows`), a
+:class:`~repro.graphs.graph.Graph`'s or the prepare pipeline's, and return
+the same vertices either way.  Degen-opt computes the whole-graph ordering
+once and takes the whole-graph ``Degen`` suffix from it.  Its ego nets are
+plain rows too, built as :meth:`Graph.subgraph` builds its rows, so their
+ties break as they would in a subgraph.  Most ego nets never get that far:
+a k-defective clique on ``s`` vertices has at least ``s(s-1)/2 - k`` edges,
+so an ego net ``N⁺(u)`` with ``e`` edges holds none on more than
+``(1 + √(1 + 8(e + k))) / 2`` vertices.  When that many plus ``u`` cannot
+beat the incumbent, ``Degen`` is skipped on it: it could only have returned
+a solution that is not kept.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from math import isqrt
+from typing import Callable, List, Optional, Sequence, Set, Union
 
 from ..exceptions import BudgetExceededError
 from ..graphs.degeneracy import degeneracy_ordering
-from ..graphs.graph import Graph, Vertex
+from ..graphs.graph import Graph, Rows, Vertex, rows_of
 from .defective import validate_k
 
 __all__ = ["degen", "degen_opt", "initial_solution"]
@@ -28,7 +41,7 @@ _DEGEN_BUDGET_STRIDE = 2048
 
 
 def degen(
-    graph: Graph,
+    graph: Union[Graph, Rows],
     k: int,
     budget_check: Optional[Callable[[], None]] = None,
 ) -> List[Vertex]:
@@ -45,9 +58,19 @@ def degen(
     returned (callers re-check the budget themselves afterwards).
     """
     validate_k(k)
-    if graph.num_vertices == 0:
+    rows = rows_of(graph)
+    if not rows:
         return []
-    ordering = degeneracy_ordering(graph).ordering
+    return _longest_suffix(rows, degeneracy_ordering(rows).ordering, k, budget_check)
+
+
+def _longest_suffix(
+    rows: Rows,
+    ordering: Sequence[Vertex],
+    k: int,
+    budget_check: Optional[Callable[[], None]],
+) -> List[Vertex]:
+    """Degen's scan: the longest suffix of ``ordering`` that is a k-defective clique."""
     chosen: List[Vertex] = []
     chosen_set: Set[Vertex] = set()
     missing = 0
@@ -57,8 +80,7 @@ def degen(
                 budget_check()
             except BudgetExceededError:
                 break
-        adjacent = sum(1 for u in graph.neighbors(v) if u in chosen_set)
-        extra = len(chosen) - adjacent
+        extra = len(chosen) - len(rows[v] & chosen_set)
         if missing + extra > k:
             break
         missing += extra
@@ -68,7 +90,7 @@ def degen(
 
 
 def degen_opt(
-    graph: Graph,
+    graph: Union[Graph, Rows],
     k: int,
     budget_check: Optional[Callable[[], None]] = None,
 ) -> List[Vertex]:
@@ -78,7 +100,9 @@ def degen_opt(
     neighbours ``N⁺(u)`` (w.r.t. the degeneracy ordering) is extracted and
     ``Degen`` is run inside it; since every vertex of ``N⁺(u)`` is adjacent
     to ``u``, appending ``u`` to the sub-solution keeps it a k-defective
-    clique.  The largest of the ``n + 1`` solutions is returned.
+    clique.  The largest of the ``n + 1`` solutions is returned.  ``Degen``
+    is skipped on an ego net too small, in vertices or in edges, to beat the
+    incumbent (see the module docstring).
 
     ``budget_check`` (typically the solve run's budget check) is polled once
     per vertex; when it raises
@@ -87,10 +111,11 @@ def degen_opt(
     re-check it themselves afterwards.
     """
     validate_k(k)
-    best = degen(graph, k, budget_check=budget_check)
-    if graph.num_vertices == 0:
-        return best
-    decomposition = degeneracy_ordering(graph)
+    rows = rows_of(graph)
+    if not rows:
+        return []
+    decomposition = degeneracy_ordering(rows)
+    best = _longest_suffix(rows, decomposition.ordering, k, budget_check)
     position = decomposition.position
     for u in decomposition.ordering:
         if budget_check is not None:
@@ -99,10 +124,16 @@ def degen_opt(
             except BudgetExceededError:
                 return best
         pos_u = position[u]
-        higher = [v for v in graph.neighbors(u) if position[v] > pos_u]
+        higher = [v for v in rows[u] if position[v] > pos_u]
         if len(higher) + 1 <= len(best):
             continue  # even a perfect sub-solution cannot beat the incumbent
-        sub = graph.subgraph(higher)
+        keep = set(higher)
+        # 2e, and the most vertices a k-defective clique with e edges can have.
+        twice_e = sum(map(len, map(keep.intersection, map(rows.__getitem__, higher))))
+        cap = (1 + isqrt(1 + 4 * twice_e + 8 * k)) // 2
+        if min(len(higher), cap) + 1 <= len(best):
+            continue
+        sub = {v: rows[v] & keep for v in keep}
         # Forward the budget poll: a hub's ego subgraph can hold millions of
         # edges, and degen's partial-return semantics make interruption safe.
         candidate = degen(sub, k, budget_check=budget_check)
@@ -112,7 +143,7 @@ def degen_opt(
 
 
 def initial_solution(
-    graph: Graph,
+    graph: Union[Graph, Rows],
     k: int,
     method: str = "degen-opt",
     budget_check: Optional[Callable[[], None]] = None,
@@ -121,6 +152,8 @@ def initial_solution(
 
     Parameters
     ----------
+    graph:
+        A :class:`Graph` or its adjacency rows.
     method:
         ``"degen-opt"`` (default), ``"degen"``, or ``"none"`` (returns an
         empty solution, used by the kDC-t theoretical variant).

@@ -27,6 +27,17 @@ flags.  Execute-side knobs (backend, workers, budgets, UB/RR toggles
 applied at search nodes) are *not* baked in — one artifact serves every
 backend × workers cell, which is what lets the service answer a mixed query
 stream from a single per-``(graph, k)`` slot.
+
+The prepare phase relabels the graph once and then runs on its *rows*
+(:data:`~repro.graphs.graph.Rows`): one set of integer neighbour ids per
+vertex, read by Degen-opt and the degeneracy order and mutated in place by
+the RR5 and RR6 peels, with no :class:`~repro.graphs.graph.Graph` in
+between.  Row layout is part of the output: the degeneracy order breaks
+ties by set iteration order, which depends on how each set's table was
+built.  So the rows are laid out as ``Graph.relabel`` and then
+``Graph.copy`` would lay them out, and removals only ever ``discard``
+(which never resizes a set).  ``tests/test_prepare_golden.py`` pins the
+artifacts this produces.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import InvalidParameterError
 from ..graphs.degeneracy import degeneracy_ordering
-from ..graphs.graph import Graph, Vertex
+from ..graphs.graph import Graph, Vertex, rows_of
 from .config import SolverConfig
 from .defective import validate_k
 from .heuristics import initial_solution
@@ -260,20 +271,31 @@ def prepare_instance(
     if digest is None:
         digest = graph.content_digest() if compute_digest else ""
 
+    # Relabel once.  The relabeled graph's rows are fresh sets, so prepare
+    # takes them over and drops the graph: Degen-opt, RR5, RR6 and the
+    # degeneracy order all run on these rows, mutated in place.
     relabeled, _, to_label = graph.relabel()
+    rows = rows_of(relabeled)
+    del relabeled
     heuristic = initial_solution(
-        relabeled, k, config.initial_heuristic, budget_check=budget_check
+        rows, k, config.initial_heuristic, budget_check=budget_check
     )
     if on_heuristic is not None:
         on_heuristic(list(heuristic), to_label)
     if budget_check is not None:
         budget_check()
 
+    # Re-copy each row in place.  set(s) can size its table differently from
+    # s, which changes its iteration order and so the degeneracy order's
+    # tie-breaks; the copy keeps the row layout every prepared artifact (and
+    # the forced-decomposition goldens of tests/test_trail.py) was built on,
+    # without holding a second copy of the rows.
+    for v, nbrs in rows.items():
+        rows[v] = set(nbrs)
     prep_stats = SearchStats()
-    working = relabeled.copy()
     if config.use_rr5 or config.use_rr6:
         preprocess_graph(
-            working,
+            rows,
             k,
             lower_bound=len(heuristic),
             use_rr5=config.use_rr5,
@@ -282,8 +304,8 @@ def prepare_instance(
             budget_check=budget_check,
         )
 
-    decomposition = degeneracy_ordering(working)
-    working_adj = {v: tuple(sorted(working.neighbors(v))) for v in working}
+    decomposition = degeneracy_ordering(rows)
+    working_adj = {v: tuple(sorted(nbrs)) for v, nbrs in rows.items()}
 
     return PreparedInstance(
         k=k,
@@ -291,7 +313,7 @@ def prepare_instance(
         to_label=tuple(to_label),
         heuristic=tuple(heuristic),
         working_adj=working_adj,
-        working_num_edges=working.num_edges,
+        working_num_edges=sum(map(len, working_adj.values())) // 2,
         ordering=tuple(decomposition.ordering),
         position=dict(decomposition.position),
         heuristic_method=config.initial_heuristic,

@@ -54,7 +54,7 @@ from .paper_figures import (
     figure6_graph,
 )
 from .stats import GraphStats, clustering_coefficient, degree_histogram, graph_stats
-from .truss import edge_support, k_truss, k_truss_edges, truss_reduce_in_place
+from .truss import k_truss, k_truss_edges, truss_reduce_in_place
 
 __all__ = [
     "Graph",
@@ -69,7 +69,6 @@ __all__ = [
     "core_reduce_in_place",
     "k_truss",
     "k_truss_edges",
-    "edge_support",
     "truss_reduce_in_place",
     "greedy_coloring",
     "color_classes",

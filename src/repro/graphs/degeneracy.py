@@ -4,14 +4,19 @@ The peeling algorithm repeatedly removes a vertex of minimum degree from the
 remaining graph and appends it to the ordering.  Using bucket queues this runs
 in O(n + m) time.  The largest minimum degree seen at removal time is the
 degeneracy :math:`\\delta(G)`, and the per-vertex value is its *core number*.
+
+The peel reads adjacency rows (:data:`~repro.graphs.graph.Rows`), so it runs
+unchanged on a :class:`~repro.graphs.graph.Graph`, on the integer rows of the
+prepare pipeline and on the ego nets of Degen-opt.  Ties follow the rows'
+iteration order: the vertex order of the dict, then each neighbour set's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Union
 
-from .graph import Graph, Vertex
+from .graph import Graph, Rows, Vertex, rows_of
 
 __all__ = [
     "DegeneracyResult",
@@ -58,7 +63,7 @@ class DegeneracyResult:
         return [u for u in graph.neighbors(vertex) if self.position[u] > pos]
 
 
-def degeneracy_ordering(graph: Graph) -> DegeneracyResult:
+def degeneracy_ordering(graph: Union[Graph, Rows]) -> DegeneracyResult:
     """Compute a degeneracy ordering with the bucket-based peeling algorithm.
 
     Runs in O(n + m) time.  Ties are broken by bucket insertion order, which
@@ -67,18 +72,19 @@ def degeneracy_ordering(graph: Graph) -> DegeneracyResult:
     Parameters
     ----------
     graph:
-        The input graph; it is not modified.
+        The input graph or its adjacency rows; neither is modified.
 
     Returns
     -------
     DegeneracyResult
         The ordering, per-vertex core numbers, and the degeneracy.
     """
-    n = graph.num_vertices
+    rows = rows_of(graph)
+    n = len(rows)
     if n == 0:
         return DegeneracyResult(ordering=[], core_number={}, degeneracy=0, position={})
 
-    degree: Dict[Vertex, int] = graph.degrees()
+    degree: Dict[Vertex, int] = {v: len(nbrs) for v, nbrs in rows.items()}
     max_degree = max(degree.values())
 
     # Bucket queue: buckets[d] holds vertices believed to have degree d.
@@ -106,12 +112,13 @@ def degeneracy_ordering(graph: Graph) -> DegeneracyResult:
         core_number[v] = degeneracy_value
         ordering.append(v)
 
-        for u in graph.neighbors(v):
+        for u in rows[v]:
             if u not in removed:
-                degree[u] -= 1
-                buckets[degree[u]].append(u)
-                if degree[u] < d:
-                    d = degree[u]
+                du = degree[u] - 1
+                degree[u] = du
+                buckets[du].append(u)
+                if du < d:
+                    d = du
 
     position = {v: i for i, v in enumerate(ordering)}
     return DegeneracyResult(

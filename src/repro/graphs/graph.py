@@ -49,14 +49,19 @@ from __future__ import annotations
 
 import hashlib
 from itertools import chain
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
 from ..exceptions import EdgeNotFoundError, GraphError, SelfLoopError, VertexNotFoundError
 
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
+#: Adjacency rows: one set of neighbours per vertex, in a dict keyed by vertex
+#: -- the layout a :class:`Graph` keeps internally.  The prepare layers
+#: (Degen-opt, the k-core and k-truss peels, the degeneracy order) run on
+#: rows; see :func:`rows_of`.
+Rows = Dict[Vertex, Set[Vertex]]
 
-__all__ = ["Graph", "Vertex", "Edge"]
+__all__ = ["Graph", "Vertex", "Edge", "Rows", "rows_of"]
 
 #: Hashed ahead of the row sum in every content digest; a new row format gets
 #: a new tag, so digests of two formats never coincide.
@@ -596,3 +601,14 @@ class Graph:
             raise GraphError(
                 f"edge count mismatch: cached {self._num_edges}, actual {count // 2}"
             )
+
+
+def rows_of(graph: Union[Graph, Rows]) -> Rows:
+    """The adjacency rows of ``graph``, or ``graph`` itself when it already is rows.
+
+    A :class:`Graph`'s rows are its live internals: read them, never mutate
+    them (the edge count and the digest sum would go stale).  Rows taken
+    from a throwaway graph, such as the one :meth:`Graph.relabel` returns,
+    are the caller's to mutate once the graph is dropped.
+    """
+    return graph._adj if isinstance(graph, Graph) else graph

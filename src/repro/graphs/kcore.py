@@ -8,18 +8,21 @@ The k-core is the machinery behind reduction rule **RR5** of the paper: with a
 current best solution of size ``lb``, every vertex of a k-defective clique of
 size > ``lb`` must have degree at least ``lb - k`` inside it, so restricting
 the search to the ``(lb - k)``-core is safe.
+
+The peel runs on adjacency rows (:data:`~repro.graphs.graph.Rows`) and
+deletes vertices from them in place; the :class:`~repro.graphs.graph.Graph`
+entry points peel a copy of the graph's rows.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, List, Optional, Set, Union
 
-from .graph import Graph, Vertex
+from .graph import Graph, Rows, Vertex, rows_of
 
 __all__ = ["k_core", "k_core_vertices", "core_reduce_in_place"]
 
-#: Peeling steps between budget polls.
+#: Adjacency entries the peel walks between budget polls.
 _BUDGET_STRIDE = 4096
 
 
@@ -37,41 +40,18 @@ def k_core_vertices(
     k:
         Minimum degree requirement; ``k <= 0`` returns all vertices.
     budget_check:
-        Optional callable polled every few thousand peeling steps; any
-        exception it raises (e.g.
-        :class:`~repro.exceptions.BudgetExceededError`) propagates before
-        the graph is inspected further.
+        Optional callable polled every few thousand adjacency entries the
+        peel walks; any exception it raises (e.g.
+        :class:`~repro.exceptions.BudgetExceededError`) propagates.
 
     Returns
     -------
     set
         Vertices of the (possibly empty) k-core.
     """
-    if k <= 0:
-        return graph.vertex_set()
-
-    degree: Dict[Vertex, int] = graph.degrees()
-    alive: Set[Vertex] = set(degree)
-    queue = deque(v for v, d in degree.items() if d < k)
-    queued = set(queue)
-
-    steps = 0
-    while queue:
-        v = queue.popleft()
-        if v not in alive:
-            continue
-        if budget_check is not None:
-            steps += 1
-            if steps % _BUDGET_STRIDE == 0:
-                budget_check()
-        alive.discard(v)
-        for u in graph.neighbors(v):
-            if u in alive:
-                degree[u] -= 1
-                if degree[u] < k and u not in queued:
-                    queue.append(u)
-                    queued.add(u)
-    return alive
+    rows = {v: set(nbrs) for v, nbrs in rows_of(graph).items()}
+    core_reduce_in_place(rows, k, budget_check=budget_check)
+    return set(rows)
 
 
 def k_core(graph: Graph, k: int) -> Graph:
@@ -80,19 +60,42 @@ def k_core(graph: Graph, k: int) -> Graph:
 
 
 def core_reduce_in_place(
-    graph: Graph,
+    graph: Union[Graph, Rows],
     k: int,
     budget_check: Optional[Callable[[], None]] = None,
 ) -> Set[Vertex]:
     """Reduce ``graph`` to its k-core in place, returning the removed vertices.
 
-    This is the form used by the solver preprocessing (RR5): the working copy
-    of the input graph is shrunk destructively so that subsequent reductions
-    and the search itself operate on the smaller graph.  ``budget_check`` is
-    forwarded to :func:`k_core_vertices`; if it fires the graph is left
-    unmodified.
+    This is the form used by the solver preprocessing (RR5).  On rows, the
+    peel deletes each vertex as it goes, and an exception from
+    ``budget_check`` leaves the rows partly peeled, which is still safe: every
+    vertex gone is outside the k-core.  A :class:`Graph` is left unmodified
+    when the budget fires, because its peel runs on a copy.
     """
-    keep = k_core_vertices(graph, k, budget_check=budget_check)
-    removed = graph.vertex_set() - keep
-    graph.remove_vertices(removed)
+    if isinstance(graph, Graph):
+        removed = graph.vertex_set() - k_core_vertices(graph, k, budget_check=budget_check)
+        graph.remove_vertices(removed)
+        return removed
+    rows = graph
+    removed: Set[Vertex] = set()
+    if k <= 0:
+        return removed
+    # Each vertex is queued once: at the start if its degree is below k, or
+    # when a deletion takes it from k to k - 1.
+    queue: List[Vertex] = [v for v, nbrs in rows.items() if len(nbrs) < k]
+    steps = 0
+    while queue:
+        v = queue.pop()
+        nbrs = rows.pop(v)
+        removed.add(v)
+        for u in nbrs:
+            row = rows[u]
+            row.discard(v)
+            if len(row) == k - 1:
+                queue.append(u)
+        if budget_check is not None:
+            steps += len(nbrs)
+            if steps >= _BUDGET_STRIDE:
+                steps = 0
+                budget_check()
     return removed

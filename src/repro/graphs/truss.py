@@ -2,44 +2,42 @@
 
 The k-truss of a graph is the maximal subgraph in which every edge
 participates in at least ``k - 2`` triangles.  It is an *edge-induced*
-subgraph and is contained in the (k-1)-core.  The standard peeling algorithm
-removes edges of insufficient *support* (number of triangles through the
-edge) until a fixed point, in O(δ(G) · m) time.
+subgraph and is contained in the (k-1)-core.
 
 The k-truss underlies reduction rule **RR6** of the paper: with a current best
 solution of size ``lb``, every edge of a k-defective clique larger than ``lb``
 must have at least ``lb - k - 1`` common neighbours inside it, so reducing the
 input graph to its ``(lb - k + 1)``-truss is safe.
+
+The peel runs in place on integer adjacency rows
+(:data:`~repro.graphs.graph.Rows`) in two phases:
+
+* **one bulk sweep** counts every edge's support (triangles through it) as
+  the C-level ``len(rows[u] & rows[v])`` and deletes every edge it counts
+  below ``k - 2``, a row's worth at a time, with no per-edge bookkeeping.
+  Supports only fall as edges go, so none of those edges can be in the
+  truss;
+* **the queue peel** then handles only the survivors.  A survivor with an
+  endpoint the sweep touched has its support counted again when it leaves
+  the queue; any other survivor keeps its swept count, and each deletion
+  decrements the supports of the edges it shared a triangle with.
+
+Both phases are still O(δ(G) · m).  On sparse inputs the sweep removes
+nearly every edge, so the peel, with its per-edge bookkeeping, sees only the
+few that remain.  The :class:`~repro.graphs.graph.Graph` entry points
+relabel the graph and peel its integer rows.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
-from .graph import Graph, Vertex
+from .graph import Graph, Rows, Vertex, rows_of
 
-__all__ = ["edge_support", "k_truss", "k_truss_edges", "truss_reduce_in_place"]
+__all__ = ["k_truss", "k_truss_edges", "truss_reduce_in_place"]
 
-#: Support-computation / peeling steps between budget polls.
+#: Adjacency entries swept, or edges peeled, between budget polls.
 _BUDGET_STRIDE = 4096
-
-_EdgeKey = FrozenSet[Vertex]
-
-
-def _key(u: Vertex, v: Vertex) -> _EdgeKey:
-    return frozenset((u, v))
-
-
-def edge_support(graph: Graph) -> Dict[_EdgeKey, int]:
-    """Return the support (triangle count) of every edge.
-
-    The support of edge ``(u, v)`` is ``|N(u) ∩ N(v)|``.
-    """
-    support: Dict[_EdgeKey, int] = {}
-    for u, v in graph.iter_edges():
-        support[_key(u, v)] = len(graph.common_neighbors(u, v))
-    return support
 
 
 def k_truss_edges(
@@ -58,8 +56,7 @@ def k_truss_edges(
         triangles of the surviving subgraph.  ``k <= 2`` keeps all edges.
     budget_check:
         Optional callable polled every few thousand steps of the support
-        computation and the peeling loop — the two O(δ(G) · m) phases that
-        dominate on large graphs; any exception it raises propagates.
+        sweep and the peel; any exception it raises propagates.
 
     Returns
     -------
@@ -67,60 +64,12 @@ def k_truss_edges(
         The surviving edges, in the orientation reported by
         :meth:`Graph.iter_edges` on the input graph.
     """
-    if k <= 2:
-        return set(graph.iter_edges())
-
-    threshold = k - 2
-    # Work on a mutable adjacency copy so we can delete edges as we peel.
-    adj: Dict[Vertex, Set[Vertex]] = {v: set(graph.neighbors(v)) for v in graph}
-    support: Dict[_EdgeKey, int] = {}
-    steps = 0
-    for u, v in graph.iter_edges():
-        if budget_check is not None:
-            steps += 1
-            if steps % _BUDGET_STRIDE == 0:
-                budget_check()
-        nu, nv = adj[u], adj[v]
-        if len(nu) > len(nv):
-            nu, nv = nv, nu
-        support[_key(u, v)] = sum(1 for w in nu if w in nv)
-
-    queue = deque(e for e, s in support.items() if s < threshold)
-    queued = set(queue)
-    alive: Set[_EdgeKey] = set(support)
-
-    steps = 0
-    while queue:
-        e = queue.popleft()
-        if e not in alive:
-            continue
-        if budget_check is not None:
-            steps += 1
-            if steps % _BUDGET_STRIDE == 0:
-                budget_check()
-        alive.discard(e)
-        u, v = tuple(e)
-        adj[u].discard(v)
-        adj[v].discard(u)
-        # Every common neighbour w loses a triangle on edges (u, w) and (v, w).
-        nu, nv = adj[u], adj[v]
-        if len(nu) > len(nv):
-            nu, nv = nv, nu
-            u, v = v, u
-        for w in list(nu):
-            if w in nv:
-                for other in (_key(u, w), _key(v, w)):
-                    if other in alive:
-                        support[other] -= 1
-                        if support[other] < threshold and other not in queued:
-                            queue.append(other)
-                            queued.add(other)
-
-    result: Set[Tuple[Vertex, Vertex]] = set()
-    for u, v in graph.iter_edges():
-        if _key(u, v) in alive:
-            result.add((u, v))
-    return result
+    # relabel() numbers vertices in iteration order, so u < v below is the
+    # orientation iter_edges() reports, and its rows are ours to peel.
+    relabeled, _, to_label = graph.relabel()
+    rows = rows_of(relabeled)
+    truss_reduce_in_place(rows, k, budget_check=budget_check)
+    return {(to_label[u], to_label[v]) for u, nbrs in rows.items() for v in nbrs if u < v}
 
 
 def k_truss(graph: Graph, k: int) -> Graph:
@@ -129,13 +78,11 @@ def k_truss(graph: Graph, k: int) -> Graph:
     Vertices left isolated by the edge removals are dropped, matching the
     convention that the k-truss is an edge-induced subgraph.
     """
-    edges = k_truss_edges(graph, k)
-    g = Graph(edges=edges)
-    return g
+    return Graph(edges=k_truss_edges(graph, k))
 
 
 def truss_reduce_in_place(
-    graph: Graph,
+    graph: Union[Graph, Rows],
     k: int,
     budget_check: Optional[Callable[[], None]] = None,
 ) -> int:
@@ -143,16 +90,110 @@ def truss_reduce_in_place(
 
     Vertices that lose all incident edges are removed as well (they cannot be
     part of any solution larger than the current lower bound when RR6
-    applies, because RR5 is always applied alongside).  ``budget_check`` is
-    forwarded to :func:`k_truss_edges`; if it fires there the graph is left
-    unmodified.
+    applies, because RR5 is always applied alongside).
+
+    ``graph`` is a :class:`Graph` or integer rows.  Rows are peeled in place,
+    and an exception from ``budget_check`` leaves them partly peeled, which
+    is still safe: every edge gone is outside the truss.  A :class:`Graph`
+    is left unmodified when the budget fires, because its peel runs on
+    relabeled rows.
     """
-    keep = k_truss_edges(graph, k, budget_check=budget_check)
+    if isinstance(graph, Graph):
+        keep = k_truss_edges(graph, k, budget_check=budget_check)
+        gone = [edge for edge in graph.iter_edges() if edge not in keep]
+        graph.remove_edges(gone)
+        graph.remove_vertices([v for v in graph if graph.degree(v) == 0])
+        return len(gone)
+    rows = graph
     removed = 0
-    for u, v in list(graph.iter_edges()):
-        if (u, v) not in keep and (v, u) not in keep:
-            graph.remove_edge(u, v)
-            removed += 1
-    isolated = [v for v in graph if graph.degree(v) == 0]
-    graph.remove_vertices(isolated)
+    if k > 2:
+        support, touched, removed = _sweep(rows, k - 2, budget_check)
+        removed += _peel(rows, k - 2, support, touched, budget_check)
+    for v in [v for v, nbrs in rows.items() if not nbrs]:
+        del rows[v]
+    return removed
+
+
+def _sweep(
+    rows: Rows, threshold: int, budget_check: Optional[Callable[[], None]]
+) -> Tuple[Dict[Tuple[int, int], int], Set[int], int]:
+    """The bulk sweep: delete every edge counted below ``threshold``.
+
+    Each edge is counted once, as ``(u, v)`` with ``u < v``.  A row's low
+    edges go as soon as the row is done; later counts see them gone, which
+    can only lower them, so an edge counted below the threshold is never in
+    the truss.  Deletion is by discard only: it never resizes a set, so the
+    rows keep the iteration order the degeneracy order's ties depend on.
+
+    Returns the swept supports of the surviving edges, the vertices that
+    lost an edge, and the number of edges deleted.
+    """
+    support: Dict[Tuple[int, int], int] = {}
+    touched: Set[int] = set()
+    removed = 0
+    steps = 0
+    for u, row in rows.items():
+        steps += len(row)
+        low: List[int] = []
+        for v in row:
+            if v > u:
+                s = len(row & rows[v])
+                if s < threshold:
+                    low.append(v)
+                else:
+                    support[(u, v)] = s
+        if low:
+            touched.add(u)
+            touched.update(low)
+            removed += len(low)
+            for v in low:
+                row.discard(v)
+                rows[v].discard(u)
+        if budget_check is not None and steps >= _BUDGET_STRIDE:
+            steps = 0
+            budget_check()
+    return support, touched, removed
+
+
+def _peel(
+    rows: Rows,
+    threshold: int,
+    support: Dict[Tuple[int, int], int],
+    touched: Set[int],
+    budget_check: Optional[Callable[[], None]],
+) -> int:
+    """The queue peel of the sweep's survivors; returns the number of edges deleted."""
+    # An edge absent from ``support`` awaits a recount: an endpoint lost
+    # edges in the sweep, so its swept support may be stale.
+    queue = [edge for edge in support if edge[0] in touched or edge[1] in touched]
+    for edge in queue:
+        del support[edge]
+    removed = 0
+    steps = 0
+    while queue:
+        if budget_check is not None:
+            steps += 1
+            if steps >= _BUDGET_STRIDE:
+                steps = 0
+                budget_check()
+        edge = queue.pop()
+        u, v = edge
+        row_u, row_v = rows[u], rows[v]
+        if edge not in support:
+            s = support[edge] = len(row_u & row_v)
+            if s >= threshold:
+                continue
+        row_u.discard(v)
+        row_v.discard(u)
+        removed += 1
+        # Every common neighbour w loses a triangle on (u, w) and (v, w); an
+        # edge is queued when its support first drops below the threshold.
+        for w in row_u & row_v:
+            for a in (u, v):
+                other = (a, w) if a < w else (w, a)
+                s = support.get(other)
+                if s is not None:
+                    support[other] = s - 1
+                    if s == threshold:
+                        queue.append(other)
     return removed

@@ -10,7 +10,6 @@ from repro.graphs import (
     complete_graph,
     core_reduce_in_place,
     cycle_graph,
-    edge_support,
     gnp_random_graph,
     k_core,
     k_core_vertices,
@@ -102,11 +101,6 @@ class TestKTruss:
         assert 7 not in four_truss.vertex_set()
         five_truss = k_truss(fig2, 5)
         assert five_truss.vertex_set() == {8, 9, 10, 11, 12}
-
-    def test_edge_support_counts_triangles(self):
-        g = complete_graph(4)
-        support = edge_support(g)
-        assert all(value == 2 for value in support.values())
 
     def test_truss_support_property(self):
         g = gnp_random_graph(30, 0.3, seed=5)
