@@ -254,7 +254,7 @@ def preprocess_graph(
         relabeled, to_int, to_label = graph.relabel()
         rows = rows_of(relabeled)
         preprocess_graph(rows, k, lower_bound, use_rr5, use_rr6, stats, budget_check)
-        graph.remove_vertices([v for v in to_int if to_int[v] not in rows])
+        graph.remove_vertices([label for label, v in to_int.items() if v not in rows])
         for v, nbrs in rows.items():
             label = to_label[v]
             for u in [u for u in graph.neighbors(label) if to_int[u] not in nbrs]:
