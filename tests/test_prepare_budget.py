@@ -4,8 +4,9 @@ The preprocessing budget tests of ``tests/test_reductions.py`` use graphs of
 30-40 vertices, which finish under every poll stride, so only the polls at
 phase boundaries ever run there.  These tests use graphs above the strides
 (``powerlaw_cluster_graph(1500, 10, .3)`` has 1,500 vertices and about 14.9k
-edges) and budgets that fire only once the phase-boundary polls are behind
-them, so each one fails if the poll inside its loop is removed.
+edges; Degen's scan, which polls every 2,048 vertices, gets 2,500) and
+budgets that fire only once the phase-boundary polls are behind them, so
+each one fails if the poll inside its loop is removed.
 """
 
 from __future__ import annotations
