@@ -4,34 +4,36 @@ The baselines (MADEC+-style and KDBB-style) are *separate algorithms* from
 kDC — different bounds, different branching, no RR2/BR — but they share the
 mechanics of a maximisation branch-and-bound over :class:`SearchState`
 instances.  This module provides that scaffolding; each baseline subclass
-plugs in its own reduction, bounding and branching policies.
+plugs in its own prepare configuration and its own reduction, bounding and
+branching policies.
+
+They prepare exactly as kDC does, through
+:func:`~repro.core.prepared.prepare_instance`: in the paper the initial
+solution and the RR5/RR6 preprocessing are practical add-ons, so the
+baselines differ from kDC's prepare only in which of them they switch on.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from abc import ABC, abstractmethod
 from typing import List, Optional
 
-from ..core.defective import validate_k
-from ..core.instance import SearchState
+from ..core.config import SolverConfig
+from ..core.instance import SearchState, ensure_recursion_limit
+from ..core.prepared import prepare_instance
 from ..core.result import SearchStats, SolveResult
 from ..exceptions import BudgetExceededError
-from ..graphs.graph import Graph
+from ..graphs.graph import Graph, Vertex
 
 __all__ = ["BaselineBranchAndBound"]
-
-_RECURSION_MARGIN = 256
 
 
 class BaselineBranchAndBound(ABC):
     """Template for an exact maximum k-defective clique branch-and-bound solver.
 
-    Subclasses implement the policy hooks:
+    Subclasses set :attr:`prepare_config` and implement the policy hooks:
 
-    * :meth:`_initial_solution` — heuristic lower bound (may return ``[]``);
-    * :meth:`_preprocess` — shrink the working graph given the lower bound;
     * :meth:`_reduce` — per-node reductions (must at least enforce validity
       of additions, i.e. RR1); returns ``True`` to discard the node;
     * :meth:`_upper_bound` — per-node upper bound;
@@ -40,6 +42,9 @@ class BaselineBranchAndBound(ABC):
 
     #: human-readable algorithm name recorded in results
     name: str = "baseline"
+    #: the prepare recipe: only ``initial_heuristic``, ``use_rr5`` and
+    #: ``use_rr6`` are read (see :func:`~repro.core.prepared.prepare_instance`)
+    prepare_config: SolverConfig
 
     def __init__(
         self,
@@ -56,13 +61,6 @@ class BaselineBranchAndBound(ABC):
     # Policy hooks
     # ------------------------------------------------------------------ #
     @abstractmethod
-    def _initial_solution(self, graph: Graph, k: int) -> List[int]:
-        """Return a heuristic k-defective clique of ``graph`` (integer labels)."""
-
-    def _preprocess(self, graph: Graph, k: int, lower_bound: int) -> None:
-        """Shrink ``graph`` in place using the initial lower bound (default: no-op)."""
-
-    @abstractmethod
     def _reduce(self, state: SearchState, lower_bound: int) -> bool:
         """Apply per-node reductions; return ``True`` to prune the node."""
 
@@ -78,44 +76,40 @@ class BaselineBranchAndBound(ABC):
     # Driver
     # ------------------------------------------------------------------ #
     def solve(self, graph: Graph, k: int) -> SolveResult:
-        """Compute a maximum k-defective clique of ``graph`` with this baseline."""
-        validate_k(k)
+        """Compute a maximum k-defective clique of ``graph`` with this baseline.
+
+        The budgets cover the prepare phase too.  When one fires there, the
+        heuristic incumbent is returned with ``optimal=False``, as kDC does.
+        """
         stats = SearchStats()
         self._stats = stats
+        self._best = []
         start = time.perf_counter()
         self._deadline = start + self.time_limit if self.time_limit is not None else None
+        to_label: List[Vertex] = []
 
-        if graph.num_vertices == 0:
-            stats.elapsed_seconds = time.perf_counter() - start
-            return SolveResult(clique=[], size=0, k=k, optimal=True, algorithm=self.name, stats=stats)
-
-        relabeled, _, to_label = graph.relabel()
-        self._best = list(self._initial_solution(relabeled, k))
-        stats.initial_solution_size = len(self._best)
-
-        working = relabeled.copy()
-        before_v, before_e = working.num_vertices, working.num_edges
-        self._preprocess(working, k, len(self._best))
-        stats.preprocess_removed_vertices = before_v - working.num_vertices
-        stats.preprocess_removed_edges = before_e - working.num_edges
+        def on_heuristic(best: List[int], labels: List[Vertex]) -> None:
+            self._best = best
+            stats.initial_solution_size = len(best)
+            to_label[:] = labels
 
         optimal = True
-        if working.num_vertices > 0:
-            adj: List[set] = [set() for _ in range(relabeled.num_vertices)]
-            for v in working:
-                adj[v] = set(working.neighbors(v))
-            state = SearchState.initial(adj, k, vertices=working.vertex_set())
-            depth_needed = len(state.candidates) + _RECURSION_MARGIN
-            old_limit = sys.getrecursionlimit()
-            if old_limit < depth_needed:
-                sys.setrecursionlimit(depth_needed)
-            try:
+        try:
+            prepared = prepare_instance(
+                graph,
+                k,
+                self.prepare_config,
+                budget_check=self._check_budget,
+                on_heuristic=on_heuristic,
+                compute_digest=False,
+            )
+            prepared.seed_stats(stats)
+            if prepared.working_n > 0:
+                state = prepared.root_state()
+                ensure_recursion_limit(len(state.candidates))
                 self._branch(state, depth=1)
-            except BudgetExceededError:
-                optimal = False
-            finally:
-                if sys.getrecursionlimit() != old_limit:
-                    sys.setrecursionlimit(old_limit)
+        except BudgetExceededError:
+            optimal = False
 
         stats.elapsed_seconds = time.perf_counter() - start
         labels = [to_label[v] for v in self._best]

@@ -3,11 +3,14 @@
 KDBB is the practically fastest prior algorithm the paper compares against.
 This reimplementation includes the ingredients its authors describe:
 
-* preprocessing of the input graph by the degree rule (``(lb - k)``-core,
-  RR5) and the common-neighbour rule (``(lb - k + 1)``-truss, RR6);
+* a degeneracy-suffix initial solution (Degen) and preprocessing of the input
+  graph by the degree rule (``(lb - k)``-core, RR5) and the common-neighbour
+  rule (``(lb - k + 1)``-truss, RR6).  That is kDC's prepare with Degen in
+  place of Degen-opt, so it runs through
+  :func:`~repro.core.prepared.prepare_instance` under
+  :attr:`KDBBSolver.prepare_config`;
 * the degree-sequence upper bound UB3 together with the min-degree bound UB2;
-* per-node degree-based pruning (RR5) and validity pruning (RR1);
-* a degeneracy-suffix initial solution.
+* per-node degree-based pruning (RR5) and validity pruning (RR1).
 
 What it deliberately lacks — and what separates it from kDC — is the
 non-fully-adjacent-first branching rule BR, the greedy RR2 additions, the
@@ -17,13 +20,12 @@ is therefore the trivial O*(2^n) even though it performs well in practice.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..core.bounds import ub2_min_degree, ub3_degree_sequence
-from ..core.heuristics import degen
+from ..core.config import SolverConfig
 from ..core.instance import SearchState
-from ..core.reductions import apply_rr1, apply_rr5, preprocess_graph
-from ..graphs.graph import Graph
+from ..core.reductions import apply_rr1, apply_rr5
 from .common import BaselineBranchAndBound
 
 __all__ = ["KDBBSolver"]
@@ -33,12 +35,7 @@ class KDBBSolver(BaselineBranchAndBound):
     """Exact maximum k-defective clique solver in the style of KDBB."""
 
     name = "KDBB"
-
-    def _initial_solution(self, graph: Graph, k: int) -> List[int]:
-        return list(degen(graph, k))
-
-    def _preprocess(self, graph: Graph, k: int, lower_bound: int) -> None:
-        preprocess_graph(graph, k, lower_bound, use_rr5=True, use_rr6=True)
+    prepare_config = SolverConfig(initial_heuristic="degen")
 
     def _reduce(self, state: SearchState, lower_bound: int) -> bool:
         apply_rr1(state, self._stats)

@@ -11,7 +11,12 @@ This reimplementation follows the description in the paper being reproduced:
   can be up to ``2k + 1`` long, which is exactly why MADEC+'s branching
   factor is ``σ_k = γ_{2k}``;
 * the only reductions are RR1 (needed for validity) and the degree-based RR5
-  from the original MADEC+ paper; there is no RR2, RR3, RR4 or RR6.
+  from the original MADEC+ paper, both applied per node; there is no RR2,
+  RR3, RR4 or RR6;
+* the initial solution is Degen and the input graph is not preprocessed:
+  kDC's prepare with Degen in place of Degen-opt and RR5/RR6 off, run
+  through :func:`~repro.core.prepared.prepare_instance` under
+  :attr:`MADECSolver.prepare_config`.
 
 The point of this baseline is to reproduce the *relative* behaviour reported
 in Table 2: MADEC+ falls behind KDBB, which in turn falls behind kDC, and the
@@ -20,13 +25,12 @@ gap widens quickly with ``k``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..core.bounds import eq2_original_coloring, ub2_min_degree
-from ..core.heuristics import degen
+from ..core.config import SolverConfig
 from ..core.instance import SearchState
 from ..core.reductions import apply_rr1, apply_rr5
-from ..graphs.graph import Graph
 from .common import BaselineBranchAndBound
 
 __all__ = ["MADECSolver"]
@@ -36,9 +40,7 @@ class MADECSolver(BaselineBranchAndBound):
     """Exact maximum k-defective clique solver in the style of MADEC+."""
 
     name = "MADEC"
-
-    def _initial_solution(self, graph: Graph, k: int) -> List[int]:
-        return list(degen(graph, k))
+    prepare_config = SolverConfig(initial_heuristic="degen", use_rr5=False, use_rr6=False)
 
     def _reduce(self, state: SearchState, lower_bound: int) -> bool:
         apply_rr1(state, self._stats)

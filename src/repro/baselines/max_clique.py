@@ -9,18 +9,16 @@ bound, seeded by a degeneracy-ordering clique heuristic.
 
 from __future__ import annotations
 
-import sys
 import time
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
+from ..core.instance import ensure_recursion_limit
 from ..core.result import SearchStats, SolveResult
 from ..exceptions import BudgetExceededError
 from ..graphs.degeneracy import degeneracy_ordering
 from ..graphs.graph import Graph, Vertex
 
 __all__ = ["MaxCliqueSolver", "maximum_clique", "maximum_clique_size"]
-
-_RECURSION_MARGIN = 256
 
 
 class MaxCliqueSolver:
@@ -55,18 +53,12 @@ class MaxCliqueSolver:
         stats.initial_solution_size = len(self._best)
 
         optimal = True
-        old_limit = sys.getrecursionlimit()
-        depth_needed = relabeled.num_vertices + _RECURSION_MARGIN
-        if old_limit < depth_needed:
-            sys.setrecursionlimit(depth_needed)
+        ensure_recursion_limit(relabeled.num_vertices)
         try:
             candidates = list(range(relabeled.num_vertices))
             self._expand([], candidates, depth=1)
         except BudgetExceededError:
             optimal = False
-        finally:
-            if sys.getrecursionlimit() != old_limit:
-                sys.setrecursionlimit(old_limit)
 
         stats.elapsed_seconds = time.perf_counter() - start
         labels = [to_label[v] for v in self._best]

@@ -18,8 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..analysis.properties import DefectiveCliqueProperties, aggregate_properties, analyze_graph
 from ..core.config import variant_config
-from ..core.heuristics import degen, degen_opt
-from ..core.reductions import preprocess_graph
+from ..core.prepared import prepare_instance
 from ..core.solver import KDCSolver
 from ..datasets.collections import DatasetInstance, all_collections, get_collection
 from .harness import InstanceRecord, run_collection, count_solved, solved_within
@@ -151,6 +150,7 @@ def table4(
     k_values: Sequence[int] = DEFAULT_K_VALUES,
 ) -> ExperimentResult:
     """Reproduce Table 4: initial-solution size and reduced-graph size, kDC preprocessing vs kDC-Degen preprocessing."""
+    kdc, kdc_degen = variant_config("kDC"), variant_config("kDC-Degen")
     rows = []
     data: Dict[str, object] = {}
     for collection_name in ("real_world_like", "facebook_like"):
@@ -158,21 +158,14 @@ def table4(
         for k in k_values:
             ratio_c0, ratio_n, ratio_m, counted = 0.0, 0.0, 0.0, 0
             for inst in instances:
-                graph = inst.graph
-                c_opt = degen_opt(graph, k)
-                c_deg = degen(graph, k)
-
-                reduced_full = graph.copy()
-                preprocess_graph(reduced_full, k, len(c_opt), use_rr5=True, use_rr6=True)
-                reduced_degen = graph.copy()
-                preprocess_graph(reduced_degen, k, len(c_deg), use_rr5=True, use_rr6=False)
-
-                if not c_deg:
+                full = prepare_instance(inst.graph, k, kdc, compute_digest=False)
+                plain = prepare_instance(inst.graph, k, kdc_degen, compute_digest=False)
+                if not plain.heuristic:
                     continue
                 counted += 1
-                ratio_c0 += len(c_opt) / max(1, len(c_deg))
-                ratio_n += reduced_full.num_vertices / max(1, reduced_degen.num_vertices)
-                ratio_m += reduced_full.num_edges / max(1, reduced_degen.num_edges)
+                ratio_c0 += len(full.heuristic) / len(plain.heuristic)
+                ratio_n += full.working_n / max(1, plain.working_n)
+                ratio_m += full.working_num_edges / max(1, plain.working_num_edges)
             if counted:
                 row = [
                     collection_name,

@@ -20,11 +20,36 @@ moving the branching vertex into ``S`` or deleting it from the candidate set.
 
 from __future__ import annotations
 
+import sys
+import threading
 from typing import Dict, List, Optional, Sequence, Set
 
-__all__ = ["SearchState"]
+__all__ = ["SearchState", "ensure_recursion_limit"]
 
 AdjacencyList = Sequence[Set[int]]
+
+#: Recursion head-room kept above a recursive search's deepest level.
+_RECURSION_MARGIN = 256
+
+#: Serialises recursion-limit raises so concurrent solves never observe a
+#: limit below what they asked for.
+_RECURSION_LIMIT_LOCK = threading.Lock()
+
+
+def ensure_recursion_limit(depth: int) -> None:
+    """Let a recursive search go ``depth`` levels deep, plus a fixed margin.
+
+    The interpreter's recursion limit is only ever *increased* and never
+    restored: a save/restore would race between concurrent solves (one
+    thread restoring a small limit while another is still deep in
+    recursion), whereas a monotone raise is safe — the limit is a guard
+    against runaway recursion, and a deliberate deep search justifies
+    keeping it for the process.
+    """
+    needed = depth + _RECURSION_MARGIN
+    with _RECURSION_LIMIT_LOCK:
+        if sys.getrecursionlimit() < needed:
+            sys.setrecursionlimit(needed)
 
 
 class SearchState:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..exceptions import InvalidParameterError
 from ..graphs.degeneracy import degeneracy_ordering
@@ -52,6 +52,7 @@ from ..graphs.graph import Graph, Vertex, rows_of
 from .config import SolverConfig
 from .defective import validate_k
 from .heuristics import initial_solution
+from .instance import SearchState
 from .reductions import preprocess_graph
 from .result import SearchStats
 
@@ -167,6 +168,18 @@ class PreparedInstance:
             packed = (tuple(order), tuple(rows))
             self._cache["packed"] = packed
         return packed
+
+    def root_state(self) -> SearchState:
+        """The root instance ``(G, ∅)`` of a set-backend search over :attr:`working_adj`.
+
+        Built afresh on every call, since a search mutates its states.  The
+        adjacency list spans every relabeled id; a vertex preprocessing
+        removed keeps an empty row.
+        """
+        adj: List[Set[int]] = [set() for _ in range(self.n_original)]
+        for v, nbrs in self.working_adj.items():
+            adj[v] = set(nbrs)
+        return SearchState.initial(adj, self.k, vertices=set(self.working_adj))
 
     def working_graph(self) -> Graph:
         """Rebuild the preprocessed graph as a fresh mutable :class:`Graph`.

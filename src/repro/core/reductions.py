@@ -16,9 +16,9 @@ The rules fall into three groups:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
-from ..graphs.graph import Graph, Rows, rows_of
+from ..graphs.graph import Rows
 from ..graphs.kcore import core_reduce_in_place
 from ..graphs.truss import truss_reduce_in_place
 from .config import SolverConfig
@@ -225,42 +225,29 @@ def apply_reductions(
 
 
 def preprocess_graph(
-    graph: Union[Graph, Rows],
+    rows: Rows,
     k: int,
     lower_bound: int,
     use_rr5: bool = True,
     use_rr6: bool = True,
     stats: Optional[SearchStats] = None,
     budget_check: Optional[Callable[[], None]] = None,
-) -> Union[Graph, Rows]:
+) -> None:
     """Reduce the input graph before the search starts (Line 2 of Algorithm 2).
 
     Exhaustively applying RR5 reduces the graph to its ``(lb - k)``-core;
     exhaustively applying RR6 then reduces it to its ``(lb - k + 1)``-truss.
-    ``graph`` is a :class:`Graph` or integer rows; it is modified **in
-    place** and also returned for convenience.  The reductions run on rows;
-    a :class:`Graph` is relabeled, and what its rows lost is then removed
-    from it.
+    The graph is given as integer adjacency rows, as
+    :func:`~repro.core.prepared.prepare_instance` holds it, and the rows are
+    modified **in place**.
 
     ``budget_check`` (typically the solve run's budget check) is polled before
     each reduction phase and, forwarded into the core/truss peeling loops,
     every few thousand steps *within* each phase; a raised
     :class:`~repro.exceptions.BudgetExceededError` propagates to the caller.
     Since every phase only ever removes provably useless vertices/edges,
-    interrupted rows are still a safe (if less reduced) search instance; an
-    interrupted :class:`Graph` is left as it was.
+    interrupted rows are still a safe (if less reduced) search instance.
     """
-    if isinstance(graph, Graph):
-        relabeled, to_int, to_label = graph.relabel()
-        rows = rows_of(relabeled)
-        preprocess_graph(rows, k, lower_bound, use_rr5, use_rr6, stats, budget_check)
-        graph.remove_vertices([label for label, v in to_int.items() if v not in rows])
-        for v, nbrs in rows.items():
-            label = to_label[v]
-            for u in [u for u in graph.neighbors(label) if to_int[u] not in nbrs]:
-                graph.remove_edge(label, u)
-        return graph
-    rows = graph
     before_vertices = len(rows)
     before_edges = sum(map(len, rows.values())) // 2
     if budget_check is not None:
@@ -279,4 +266,3 @@ def preprocess_graph(
     if stats is not None:
         stats.preprocess_removed_vertices += before_vertices - len(rows)
         stats.preprocess_removed_edges += before_edges - sum(map(len, rows.values())) // 2
-    return rows

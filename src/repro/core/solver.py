@@ -57,7 +57,6 @@ solve corrupting another.
 from __future__ import annotations
 
 import dataclasses
-import sys
 import threading
 import time
 from typing import TYPE_CHECKING, List, Optional, Sequence
@@ -73,40 +72,18 @@ from .config import SolverConfig, variant_config
 from .decompose import solve_decomposed
 from .defective import validate_k
 from .fastpath import BitsetEngine
-from .instance import SearchState
+from .instance import SearchState, ensure_recursion_limit
 from .prepared import PreparedInstance, prepare_instance
 from .reductions import apply_reductions
 from .result import SearchStats, SolveResult
 
 __all__ = ["KDCSolver", "find_maximum_defective_clique", "maximum_defective_clique_size"]
 
-#: Recursion depth head-room added on top of the candidate-set size.
-_RECURSION_MARGIN = 256
-
 #: Largest instance the *whole-graph* bitset search will accept: n adjacency
 #: rows of n bits is O(n²/8) bytes, so when the degeneracy decomposition
 #: cannot engage (incumbent < k + 1) bigger instances fall back to the
 #: O(n + m) set backend instead of risking an out-of-memory abort.
 _BITSET_WHOLE_GRAPH_MAX_VERTICES = 20_000
-
-#: Serialises recursion-limit raises so concurrent set-backend solves never
-#: observe a limit below what they asked for.
-_RECURSION_LIMIT_LOCK = threading.Lock()
-
-
-def _ensure_recursion_limit(depth_needed: int) -> None:
-    """Raise the interpreter recursion limit to at least ``depth_needed``.
-
-    The limit is only ever *increased* and never restored: a save/restore
-    would race between concurrent solves (one thread restoring a small limit
-    while another is still deep in recursion), whereas a monotone raise is
-    safe — the limit is a guard against runaway recursion, and a deliberate
-    deep search on this thread justifies keeping it for the process.
-    """
-    with _RECURSION_LIMIT_LOCK:
-        if sys.getrecursionlimit() < depth_needed:
-            sys.setrecursionlimit(depth_needed)
-
 
 class _SolveRun:
     """All mutable state of one ``solve`` call.
@@ -197,7 +174,7 @@ class _SolveRun:
                 if backend == "bitset":
                     self._solve_bitset(prepared, k)
                 else:
-                    self._solve_set(prepared, k)
+                    self._solve_set(prepared)
         except BudgetExceededError:
             optimal = False
 
@@ -243,13 +220,10 @@ class _SolveRun:
             return "set"
         return "bitset"
 
-    def _solve_set(self, prepared: PreparedInstance, k: int) -> None:
+    def _solve_set(self, prepared: PreparedInstance) -> None:
         """Branch-and-bound over the dict/set :class:`SearchState` backend."""
-        adj: List[set] = [set() for _ in range(prepared.n_original)]
-        for v, nbrs in prepared.working_adj.items():
-            adj[v] = set(nbrs)
-        state = SearchState.initial(adj, k, vertices=set(prepared.working_adj))
-        _ensure_recursion_limit(len(state.candidates) + _RECURSION_MARGIN)
+        state = prepared.root_state()
+        ensure_recursion_limit(len(state.candidates))
         self._branch(state, depth=1)
 
     def _solve_bitset(self, prepared: PreparedInstance, k: int) -> None:

@@ -9,14 +9,16 @@ current best solution of size ``lb``, every vertex of a k-defective clique of
 size > ``lb`` must have degree at least ``lb - k`` inside it, so restricting
 the search to the ``(lb - k)``-core is safe.
 
-The peel runs on adjacency rows (:data:`~repro.graphs.graph.Rows`) and
-deletes vertices from them in place; the :class:`~repro.graphs.graph.Graph`
-entry points peel a copy of the graph's rows.
+The peel runs on adjacency rows (:data:`~repro.graphs.graph.Rows`):
+:func:`core_reduce_in_place`, which the solver's preprocessing calls, takes
+rows and deletes vertices from them in place, while :func:`k_core_vertices`
+and :func:`k_core` take a :class:`~repro.graphs.graph.Graph` and peel a copy
+of its rows.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set, Union
+from typing import Callable, List, Optional, Set
 
 from .graph import Graph, Rows, Vertex, rows_of
 
@@ -60,23 +62,17 @@ def k_core(graph: Graph, k: int) -> Graph:
 
 
 def core_reduce_in_place(
-    graph: Union[Graph, Rows],
+    rows: Rows,
     k: int,
     budget_check: Optional[Callable[[], None]] = None,
 ) -> Set[Vertex]:
-    """Reduce ``graph`` to its k-core in place, returning the removed vertices.
+    """Reduce ``rows`` to their k-core in place, returning the removed vertices.
 
-    This is the form used by the solver preprocessing (RR5).  On rows, the
-    peel deletes each vertex as it goes, and an exception from
-    ``budget_check`` leaves the rows partly peeled, which is still safe: every
-    vertex gone is outside the k-core.  A :class:`Graph` is left unmodified
-    when the budget fires, because its peel runs on a copy.
+    This is the form used by the solver preprocessing (RR5).  The peel
+    deletes each vertex as it goes, and an exception from ``budget_check``
+    leaves the rows partly peeled, which is still safe: every vertex gone is
+    outside the k-core.
     """
-    if isinstance(graph, Graph):
-        removed = graph.vertex_set() - k_core_vertices(graph, k, budget_check=budget_check)
-        graph.remove_vertices(removed)
-        return removed
-    rows = graph
     removed: Set[Vertex] = set()
     if k <= 0:
         return removed

@@ -24,13 +24,15 @@ The peel runs in place on integer adjacency rows
 
 Both phases are still O(δ(G) · m).  On sparse inputs the sweep removes
 nearly every edge, so the peel, with its per-edge bookkeeping, sees only the
-few that remain.  The :class:`~repro.graphs.graph.Graph` entry points
-relabel the graph and peel its integer rows.
+few that remain.  :func:`truss_reduce_in_place`, which the solver's
+preprocessing calls, takes rows; :func:`k_truss_edges` and :func:`k_truss`
+take a :class:`~repro.graphs.graph.Graph`, relabel it and peel its integer
+rows.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .graph import Graph, Rows, Vertex, rows_of
 
@@ -82,29 +84,19 @@ def k_truss(graph: Graph, k: int) -> Graph:
 
 
 def truss_reduce_in_place(
-    graph: Union[Graph, Rows],
+    rows: Rows,
     k: int,
     budget_check: Optional[Callable[[], None]] = None,
 ) -> int:
-    """Reduce ``graph`` to its k-truss in place; return the number of removed edges.
+    """Reduce integer ``rows`` to their k-truss in place; return the number of removed edges.
 
     Vertices that lose all incident edges are removed as well (they cannot be
     part of any solution larger than the current lower bound when RR6
     applies, because RR5 is always applied alongside).
 
-    ``graph`` is a :class:`Graph` or integer rows.  Rows are peeled in place,
-    and an exception from ``budget_check`` leaves them partly peeled, which
-    is still safe: every edge gone is outside the truss.  A :class:`Graph`
-    is left unmodified when the budget fires, because its peel runs on
-    relabeled rows.
+    An exception from ``budget_check`` leaves the rows partly peeled, which
+    is still safe: every edge gone is outside the truss.
     """
-    if isinstance(graph, Graph):
-        keep = k_truss_edges(graph, k, budget_check=budget_check)
-        gone = [edge for edge in graph.iter_edges() if edge not in keep]
-        graph.remove_edges(gone)
-        graph.remove_vertices([v for v in graph if graph.degree(v) == 0])
-        return len(gone)
-    rows = graph
     removed = 0
     if k > 2:
         support, touched, removed = _sweep(rows, k - 2, budget_check)

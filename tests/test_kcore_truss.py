@@ -20,6 +20,11 @@ from repro.graphs import (
 )
 
 
+def _rows(graph):
+    """A copy of ``graph``'s adjacency rows, for the in-place reductions."""
+    return {v: set(graph.neighbors(v)) for v in graph}
+
+
 class TestKCore:
     def test_kcore_of_complete_graph(self):
         g = complete_graph(5)
@@ -56,9 +61,10 @@ class TestKCore:
     def test_core_reduce_in_place(self):
         g = complete_graph(4)
         g.add_edge(0, 4)
-        removed = core_reduce_in_place(g, 3)
+        rows = _rows(g)
+        removed = core_reduce_in_place(rows, 3)
         assert removed == {4}
-        assert g.num_vertices == 4
+        assert len(rows) == 4
 
     def test_kcore_minimum_degree_property(self):
         g = gnp_random_graph(40, 0.15, seed=3)
@@ -118,10 +124,11 @@ class TestKTruss:
     def test_truss_reduce_in_place(self):
         g = complete_graph(4)
         g.add_edge(0, 4)  # edge in no triangle
-        removed = truss_reduce_in_place(g, 3)
+        rows = _rows(g)
+        removed = truss_reduce_in_place(rows, 3)
         assert removed == 1
-        assert not g.has_vertex(4)
-        assert g.num_edges == 6
+        assert 4 not in rows
+        assert sum(map(len, rows.values())) // 2 == 6
 
     @given(st.integers(min_value=1, max_value=16), st.floats(min_value=0.0, max_value=0.8),
            st.integers(min_value=0, max_value=500), st.integers(min_value=3, max_value=5))

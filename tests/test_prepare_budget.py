@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.baselines import KDBBSolver
 from repro.core import KDCSolver, SolverConfig, degen_opt, prepare_instance
 from repro.core import reductions
 from repro.exceptions import BudgetExceededError
@@ -103,27 +104,47 @@ class TestPollsInsideThePeels:
         assert len(degen_opt(graph, k, budget_check=_fires_from_call(1))) == 2048
 
 
+def _solve_tripped_inside_rr6(solver, deadline, graph, monkeypatch):
+    """``solver.solve(graph, 3)`` with the time limit running out as RR6 starts.
+
+    ``deadline`` names the attribute the solver's budget check reads its
+    deadline from.
+    """
+    real_truss = reductions.truss_reduce_in_place
+    raised = []
+
+    def truss_after_deadline(rows, k, budget_check=None):
+        # The run's time limit runs out just as RR6 starts, so the first
+        # poll to see it is one inside the truss peel.
+        setattr(budget_check.__self__, deadline, time.perf_counter() - 1.0)
+        try:
+            return real_truss(rows, k, budget_check=budget_check)
+        except BudgetExceededError:
+            raised.append(None)
+            raise
+
+    monkeypatch.setattr(reductions, "truss_reduce_in_place", truss_after_deadline)
+    result = solver.solve(graph, 3)
+    monkeypatch.undo()
+    assert raised, "the budget did not fire inside RR6"
+    return result
+
+
+def _assert_heuristic_incumbent_not_optimal(result, graph, config):
+    assert not result.optimal
+    prepared = prepare_instance(graph, 3, config, compute_digest=False)
+    assert result.clique == sorted(prepared.to_label[v] for v in prepared.heuristic)
+    assert result.stats.initial_solution_size == len(prepared.heuristic)
+
+
 class TestSolveTrippedInsideRR6:
     def test_returns_heuristic_incumbent_not_optimal(self, graph, monkeypatch):
-        real_truss = reductions.truss_reduce_in_place
-        raised = []
+        solver = KDCSolver(SolverConfig(time_limit=60.0))
+        result = _solve_tripped_inside_rr6(solver, "deadline", graph, monkeypatch)
+        _assert_heuristic_incumbent_not_optimal(result, graph, SolverConfig())
 
-        def truss_after_deadline(rows, k, budget_check=None):
-            # The run's time limit runs out just as RR6 starts, so the first
-            # poll to see it is one inside the truss peel.
-            budget_check.__self__.deadline = time.perf_counter() - 1.0
-            try:
-                return real_truss(rows, k, budget_check=budget_check)
-            except BudgetExceededError:
-                raised.append(None)
-                raise
-
-        monkeypatch.setattr(reductions, "truss_reduce_in_place", truss_after_deadline)
-        result = KDCSolver().solve(graph, 3, time_limit=60.0)
-        monkeypatch.undo()
-
-        assert raised, "the budget did not fire inside RR6"
-        assert not result.optimal
-        prepared = prepare_instance(graph, 3, SolverConfig(), compute_digest=False)
-        assert result.clique == sorted(prepared.to_label[v] for v in prepared.heuristic)
-        assert result.stats.initial_solution_size == len(prepared.heuristic)
+    def test_kdbb_returns_heuristic_incumbent_not_optimal(self, graph, monkeypatch):
+        # The baselines prepare through prepare_instance under the same budget.
+        solver = KDBBSolver(time_limit=60.0)
+        result = _solve_tripped_inside_rr6(solver, "_deadline", graph, monkeypatch)
+        _assert_heuristic_incumbent_not_optimal(result, graph, KDBBSolver.prepare_config)

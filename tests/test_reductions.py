@@ -28,6 +28,11 @@ def _state(graph, k):
     return SearchState.initial(_adjacency(graph), k)
 
 
+def _rows(graph):
+    """A copy of ``graph``'s adjacency rows, for the in-place preprocessing."""
+    return {v: set(graph.neighbors(v)) for v in graph}
+
+
 class TestRR1:
     def test_removes_over_budget_candidates(self):
         # S = {0, 1} non-adjacent; with k = 1 a candidate with another missing
@@ -226,9 +231,10 @@ class TestPreprocessing:
         g = complete_graph(6)
         for leaf in range(6, 12):
             g.add_edge(0, leaf)  # pendant vertices
+        rows = _rows(g)
         stats = SearchStats()
-        preprocess_graph(g, k=1, lower_bound=5, use_rr5=True, use_rr6=True, stats=stats)
-        assert g.num_vertices == 6
+        preprocess_graph(rows, k=1, lower_bound=5, use_rr5=True, use_rr6=True, stats=stats)
+        assert len(rows) == 6
         assert stats.preprocess_removed_vertices == 6
 
     def test_preserves_solutions_larger_than_lb(self):
@@ -236,20 +242,21 @@ class TestPreprocessing:
             g = gnp_random_graph(14, 0.4, seed=seed)
             k = 1
             optimum = brute_force_maximum_defective_clique(g, k)
-            working = g.copy()
-            preprocess_graph(working, k, lower_bound=len(optimum) - 1)
-            if working.num_vertices == 0:
+            rows = _rows(g)
+            preprocess_graph(rows, k, lower_bound=len(optimum) - 1)
+            if not rows:
                 # Everything was pruned: only valid if nothing can beat lb,
                 # i.e. the optimum is exactly lb + ... — not allowed here.
                 raise AssertionError("preprocessing removed an optimal solution")
-            best_remaining = brute_force_maximum_defective_clique(working, k)
+            best_remaining = brute_force_maximum_defective_clique(Graph.from_adjacency(rows), k)
             assert len(best_remaining) == len(optimum)
 
     def test_disabled_rules_do_nothing(self):
         g = star_graph(5)
-        before = g.num_vertices
-        preprocess_graph(g, k=1, lower_bound=4, use_rr5=False, use_rr6=False)
-        assert g.num_vertices == before
+        rows = _rows(g)
+        preprocess_graph(rows, k=1, lower_bound=4, use_rr5=False, use_rr6=False)
+        assert len(rows) == g.num_vertices
+        assert rows == _rows(g)
 
 
 class TestPreprocessingBudget:
@@ -259,11 +266,11 @@ class TestPreprocessingBudget:
         def firing_budget():
             raise BudgetExceededError("deadline")
 
-        g = gnp_random_graph(30, 0.4, seed=3)
+        rows = _rows(gnp_random_graph(30, 0.4, seed=3))
         import pytest
 
         with pytest.raises(BudgetExceededError):
-            preprocess_graph(g, k=1, lower_bound=6, budget_check=firing_budget)
+            preprocess_graph(rows, k=1, lower_bound=6, budget_check=firing_budget)
 
     def test_budget_check_polled_between_phases(self):
         from repro.exceptions import BudgetExceededError
@@ -273,11 +280,13 @@ class TestPreprocessingBudget:
         def counting_budget():
             calls.append(None)
 
-        g = gnp_random_graph(30, 0.4, seed=4)
-        preprocess_graph(g, k=1, lower_bound=6, budget_check=counting_budget)
+        rows = _rows(gnp_random_graph(30, 0.4, seed=4))
+        preprocess_graph(rows, k=1, lower_bound=6, budget_check=counting_budget)
         assert len(calls) >= 2  # before the core phase and before the truss phase
 
     def test_no_budget_check_still_works(self):
         g = complete_graph(8)
-        preprocess_graph(g, k=1, lower_bound=5)
-        assert g.num_vertices == 8
+        rows = _rows(g)
+        preprocess_graph(rows, k=1, lower_bound=5)
+        assert len(rows) == 8
+        assert sum(map(len, rows.values())) // 2 == g.num_edges
