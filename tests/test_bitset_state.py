@@ -6,8 +6,18 @@ import random
 
 import pytest
 
-from repro.core import BitsetSearchState, SearchState
+from repro.core import (
+    BitsetSearchState,
+    ReductionWorklist,
+    SearchState,
+    bitset_color_classes,
+    bitset_ub1_from_classes,
+    bitset_ub3_degree_sequence,
+    ub1_improved_coloring,
+    ub3_degree_sequence,
+)
 from repro.core.bitset_state import bits_of, iter_bits, mask_of
+from repro.core.fastpath import bitset_rr3
 from repro.graphs import gnp_random_graph
 
 
@@ -70,13 +80,19 @@ class TestBitsetSearchState:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lockstep_with_set_state(self, seed):
-        """Random transition sequences keep both state types identical."""
+        """Random transition sequences keep both state types identical.
+
+        At every step the bitset UB1 and UB3 also equal the set backend's
+        bounds: UB1 on fresh colour classes and on classes captured a few
+        steps earlier (the engine's repaired coloring).
+        """
         g = gnp_random_graph(16, 0.35 + 0.05 * (seed % 3), seed=seed)
         adj_sets, adj_bits, n = _adjacency_pair(g)
         k = seed % 4
         set_state = SearchState.initial(adj_sets, k)
         bit_state = BitsetSearchState.initial(adj_bits, k)
         rng = random.Random(100 + seed)
+        captured = []
 
         for _ in range(n):
             candidates = sorted(set_state.candidates)
@@ -103,6 +119,15 @@ class TestBitsetSearchState:
                 assert bit_state.non_nbrs[u] == set_state.non_nbrs_in_solution[u]
                 assert bit_state.degree(u) == set_state.degree_in_graph[u]
 
+            assert bitset_ub3_degree_sequence(bit_state) == ub3_degree_sequence(set_state)
+            fresh = bitset_color_classes(bit_state)
+            captured.append(fresh)
+            stale = captured[max(0, len(captured) - 4)]
+            for classes in (fresh, stale):
+                live = [bits_of(m & bit_state.cand_bits) for m in classes]
+                expected = ub1_improved_coloring(set_state, [c for c in live if c])
+                assert bitset_ub1_from_classes(bit_state, classes) == expected
+
     def test_graph_vertices_solution_first(self):
         g = gnp_random_graph(9, 0.6, seed=8)
         _, adj_bits, _ = _adjacency_pair(g)
@@ -111,3 +136,48 @@ class TestBitsetSearchState:
         verts = state.graph_vertices()
         assert verts[0] == 4
         assert sorted(verts) == list(range(9))
+
+
+def _rr3_reference(state, lower_bound):
+    """The removals of RR3 as the sorted-prefix rule states them, by (cost, id)."""
+    needed = lower_bound - len(state.solution)
+    cand = bits_of(state.cand_bits)
+    if needed < 0 or needed >= len(cand):
+        return 0
+    cost = state.non_nbrs
+    ordered = sorted(cand, key=lambda v: (cost[v], v))
+    threshold = state.slack() - sum(cost[v] for v in ordered[:needed])
+    return mask_of(v for v in ordered[needed:] if cost[v] > threshold)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rr3_matches_sorted_prefix_rule(seed):
+    """RR3 removes exactly the sorted-prefix rule's candidates.
+
+    The states come from unchecked additions, so they also hold candidates
+    above the slack (RR1's pending work) and, at times, a negative slack:
+    the cases where the reserved prefix reaches past the slack.
+    """
+    g = gnp_random_graph(18, 0.3 + 0.05 * (seed % 4), seed=seed)
+    _, adj_bits, n = _adjacency_pair(g)
+    k = seed % 4
+    state = BitsetSearchState.initial(adj_bits, k)
+    state.begin_trail()
+    rng = random.Random(300 + seed)
+    for _ in range(n // 2):
+        candidates = bits_of(state.cand_bits)
+        if not candidates:
+            break
+        v = rng.choice(candidates)
+        if rng.random() < 0.6:
+            state.add_to_solution(v)
+        else:
+            state.remove_candidate(v)
+        for lower_bound in range(len(state.solution) - 1, state.graph_size + 1):
+            expected = _rr3_reference(state, lower_bound)
+            before = state.cand_bits
+            mark = state.trail_mark()
+            removed = bitset_rr3(state, lower_bound, ReductionWorklist())
+            assert before & ~state.cand_bits == expected
+            assert removed == expected.bit_count()
+            state.rewind_to(mark)

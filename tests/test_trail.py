@@ -10,7 +10,8 @@ Two properties pin the branch-and-bound engine:
   graph, kDC-t (Algorithm 1), a forced anchor vertex (the decomposition's
   subproblem shape) and the forced degeneracy decomposition.  The values
   were recorded just before the copy-per-child engine was removed and
-  replace the lockstep against it that this suite used to run.  A change
+  replace the lockstep against it that this suite used to run.  A fifth
+  table pins default solves at the benchmark's dense-search scale.  A change
   that alters the tree on purpose must re-record them and say why.
 * **Push/pop** — any sequence of trailed transitions followed by a rewind
   restores the :class:`BitsetSearchState` bit-for-bit, including nested
@@ -226,6 +227,18 @@ GOLDEN_DECOMPOSED = {
 }
 
 
+# Default KDCSolver solves at k = 3 on the benchmark's dense-search shapes,
+# keyed by (n, p, seed) of gnp_random_graph: (nodes, prunes_by_bound, leaves,
+# recolor_full, recolor_repair, optimum, subproblems).  G(140, .2) takes the
+# ego-subproblem path, G(74, .35) the whole-graph engine.
+GOLDEN_DENSE = {
+    (140, 0.2, 1): (4498, 650, 46, 1262, 2495, 7, 134),
+    (140, 0.2, 2): (2280, 289, 34, 787, 1176, 7, 130),
+    (74, 0.35, 1): (4475, 627, 13, 844, 2485, 8, 0),
+    (74, 0.35, 2): (3497, 463, 18, 677, 1926, 8, 0),
+}
+
+
 def _trace_digest(trace):
     digest = hashlib.sha256()
     for solution_bits, cand_bits in trace:
@@ -259,6 +272,15 @@ def _decomposed_row(case):
     )
 
 
+def _dense_row(case):
+    result = KDCSolver().solve(gnp_random_graph(*case), 3)
+    stats = result.stats
+    return (
+        stats.nodes, stats.prunes_by_bound, stats.leaves, stats.recolor_full,
+        stats.recolor_repair, result.size, stats.subproblems,
+    )
+
+
 def _assert_golden(golden, row):
     mismatches = {}
     for case, expected in golden.items():
@@ -286,6 +308,10 @@ class TestLockstep:
     def test_decomposed_node_counts_match(self):
         """Forced decomposition: node, prune, recolor and subproblem counts."""
         _assert_golden(GOLDEN_DECOMPOSED, _decomposed_row)
+
+    def test_golden_dense(self):
+        """Default solves at dense-search scale, decomposed and whole-graph."""
+        _assert_golden(GOLDEN_DENSE, _dense_row)
 
     @given(graphs(), st.integers(min_value=0, max_value=4))
     @settings(max_examples=25, deadline=None)
