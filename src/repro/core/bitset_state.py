@@ -15,10 +15,12 @@ degeneracy decomposition) use masks only as wide as the subproblem, which is
 what makes the decomposition driver in :mod:`repro.core.decompose` scale to
 graphs far larger than the set-based backend can handle.
 
-The state maintains two of the invariants of ``SearchState``:
+The state maintains two invariants:
 
 * ``missing_in_solution`` — number of non-edges inside ``S``;
-* ``non_nbrs[v]`` — for every candidate ``v``, ``|\\bar{N}_S(v)|``.
+* ``cost`` — the candidates split by ``|\\bar{N}_S(v)|`` into one mask per
+  value ``0..slack`` plus one for the values above the slack (see
+  :meth:`BitsetSearchState.cost_masks`).
 
 The instance graph's edge count is not maintained: removals outnumber nodes
 (each is also rewound and redone along sibling branches), so the leaf test
@@ -28,12 +30,13 @@ Trail (undo stack)
 ------------------
 A state can record every transition on a *trail* so it can be rewound
 instead of copied: :meth:`BitsetSearchState.begin_trail` installs the trail,
-after which :meth:`add_to_solution` and :meth:`remove_candidate` push one
-reversible entry each, and :meth:`rewind_to` pops entries back to a mark
+after which :meth:`add_to_solution`, :meth:`remove_candidate` and
+:meth:`remove_candidates` push one reversible entry each (a whole removal
+sweep is one entry), and :meth:`rewind_to` pops entries back to a mark
 taken with :meth:`trail_mark`.  An entry stores only what the inverse
-operation cannot recompute — the previous ``last_added`` for an addition,
-nothing but the vertex for a removal; everything else (``non_nbrs`` updates,
-the ``missing_in_solution`` delta) is reconstructed from the state itself,
+operation cannot recompute — the previous ``last_added`` and cost split for
+an addition, nothing but the removed vertices' mask for a removal; the rest
+(the ``missing_in_solution`` delta) is reconstructed from the state itself,
 which is valid precisely because rewinding is LIFO: when an entry is popped
 the state is bit-for-bit the state right after that entry was pushed.  This
 is what the engine in :mod:`repro.core.fastpath` builds on: branching costs
@@ -100,9 +103,10 @@ def bits_of(mask: int) -> List[int]:
     return out
 
 
-# Trail entry encoding: a candidate removal is pushed as the bare vertex id
-# ``v`` (nothing else needs restoring); an addition to ``S`` is pushed as the
-# 2-tuple ``(v, previous_last_added)``.
+# Trail entry encoding: a removal is pushed as the int mask of the removed
+# candidates (``1 << v`` for one vertex, a whole sweep's mask for a batch;
+# restoring is one ``|=``); an addition to ``S`` is pushed as the 3-tuple
+# ``(v, previous_last_added, previous_cost)``.
 
 
 class BitsetSearchState:
@@ -120,7 +124,7 @@ class BitsetSearchState:
         "solution_bits",
         "cand_bits",
         "missing_in_solution",
-        "non_nbrs",
+        "cost",
         "last_added",
         "trail",
         "trail_pushes",
@@ -137,7 +141,7 @@ class BitsetSearchState:
         solution_bits: int,
         cand_bits: int,
         missing_in_solution: int,
-        non_nbrs: List[int],
+        cost: List[int],
         last_added: Optional[int],
     ) -> None:
         self.adj = adj
@@ -146,9 +150,11 @@ class BitsetSearchState:
         self.solution_bits = solution_bits
         self.cand_bits = cand_bits
         self.missing_in_solution = missing_in_solution
-        self.non_nbrs = non_nbrs
+        #: The cost split of :meth:`cost_masks`, over a superset of the
+        #: candidates (removals leave it alone; consumers intersect).
+        self.cost = cost
         self.last_added = last_added
-        #: Undo stack; entries are bare ints (removals) or 2-tuples (additions).
+        #: Undo stack; entries are int masks (removals) or 3-tuples (additions).
         self.trail: Optional[list] = None
         self.trail_pushes = 0
         self.trail_pops = 0
@@ -183,7 +189,7 @@ class BitsetSearchState:
             solution_bits=0,
             cand_bits=vertices_bits,
             missing_in_solution=0,
-            non_nbrs=[0] * len(adj),
+            cost=[vertices_bits] + [0] * (k + 1),
             last_added=None,
         )
 
@@ -242,25 +248,26 @@ class BitsetSearchState:
         """``True`` iff the entire instance graph is a k-defective clique (leaf test).
 
         The missing edges are counted on demand with an early exit: first
-        the exactly-known ``S``-side misses (``missing_in_solution`` plus the
-        ``non_nbrs`` counters), then the candidate-internal misses vertex by
-        vertex — on non-leaf instances the budget ``k`` is exhausted within
-        a few candidates, so the common case costs a handful of integer adds
-        and popcounts, not O(n).  ``cand_list`` (the materialised candidate
-        bits) is accepted to reuse the engine's per-node scan.
+        the exactly-known ``S``-side misses (``missing_in_solution`` plus a
+        popcount per cost mask), then the candidate-internal misses vertex
+        by vertex — on non-leaf instances the budget ``k`` is exhausted
+        within a few candidates, so the common case costs a handful of
+        integer adds and popcounts, not O(n).  ``cand_list`` (the
+        materialised candidate bits) is accepted to reuse the engine's
+        per-node scan.
         """
         k = self.k
+        cand = self.cand_bits
+        cost = self.cost
+        if cost[-1] & cand:
+            return False  # a candidate alone exceeds the slack (or it is negative)
         missing = self.missing_in_solution
+        for c in range(1, len(cost) - 1):
+            missing += c * (cost[c] & cand).bit_count()
         if missing > k:
             return False
-        non_nbrs = self.non_nbrs
-        cand = self.cand_bits
         if cand_list is None:
             cand_list = bits_of(cand)
-        for v in cand_list:
-            missing += non_nbrs[v]
-            if missing > k:
-                return False
         adj = self.adj
         remaining = len(cand_list) - 1
         for i, v in enumerate(cand_list[:-1]):
@@ -273,9 +280,26 @@ class BitsetSearchState:
             remaining -= 1
         return True
 
+    def cost_masks(self) -> List[int]:
+        """Split the candidates by their number of non-neighbours in ``S``.
+
+        Returns ``slack + 2`` masks: entry ``c`` (``c <= slack``) holds the
+        candidates with exactly ``c`` non-neighbours in ``S``, the last one
+        those with more than the slack (RR1's to remove).  With a negative
+        slack every candidate is in the single last entry.  The split is
+        kept up to date by :meth:`add_to_solution` and restored by
+        :meth:`rewind_to`, so this is one ``&`` per mask.
+        """
+        cand = self.cand_bits
+        return [m & cand for m in self.cost]
+
+    def non_nbrs(self, v: int) -> int:
+        """Return ``|\\bar{N}_S(v)|``, the number of non-neighbours of ``v`` in ``S``."""
+        return (self.solution_bits & ~self.adj[v] & ~(1 << v)).bit_count()
+
     def missing_if_added(self, v: int) -> int:
-        """Return ``|\\bar{E}(S ∪ v)|`` for a candidate ``v`` in O(1)."""
-        return self.missing_in_solution + self.non_nbrs[v]
+        """Return ``|\\bar{E}(S ∪ v)|`` for a candidate ``v`` (one popcount)."""
+        return self.missing_in_solution + self.non_nbrs(v)
 
     def slack(self) -> int:
         """Return ``k - |\\bar{E}(S)|``: missing edges the solution may still absorb."""
@@ -287,28 +311,56 @@ class BitsetSearchState:
     def add_to_solution(self, v: int) -> None:
         """Move candidate ``v`` into the partial solution ``S``.
 
-        O(|candidates| \\ N(v)) bit iteration to bump the non-neighbour
-        counters, everything else word-parallel.
+        Word-parallel: the candidates outside ``N(v)`` move up one cost and
+        the slack drops by ``v``'s cost, O(slack) mask operations in all.
         """
+        old = self.cost
         if self.trail is not None:
-            self.trail.append((v, self.last_added))
+            self.trail.append((v, self.last_added, old))
             self.trail_pushes += 1
         bit = 1 << v
-        self.cand_bits &= ~bit
+        cand = self.cand_bits & ~bit
+        missing = self.missing_in_solution + self.non_nbrs(v)
+        top = self.k - missing + 1
+        if top <= 0:
+            cost = [cand]
+        else:
+            near = cand & self.adj[v]
+            far = cand & ~near
+            cost = [old[0] & near]
+            for c in range(1, top):
+                cost.append((old[c] & near) | (old[c - 1] & far))
+            placed = 0
+            for m in cost:
+                placed |= m
+            cost.append(cand & ~placed)
+        self.cost = cost
+        self.cand_bits = cand
         self.solution_bits |= bit
         self.solution.append(v)
-        self.missing_in_solution += self.non_nbrs[v]
-        non_nbrs = self.non_nbrs
-        for u in bits_of(self.cand_bits & ~self.adj[v]):
-            non_nbrs[u] += 1
+        self.missing_in_solution = missing
         self.last_added = v
 
     def remove_candidate(self, v: int) -> None:
         """Delete candidate ``v`` from the instance graph ``g`` (a pure bit-clear)."""
+        bit = 1 << v
         if self.trail is not None:
-            self.trail.append(v)
+            self.trail.append(bit)
             self.trail_pushes += 1
-        self.cand_bits &= ~(1 << v)
+        self.cand_bits &= ~bit
+
+    def remove_candidates(self, mask: int) -> None:
+        """Delete every candidate in ``mask`` at once: one bit-clear, one trail entry.
+
+        ``mask`` must hold candidates only, since rewinding restores it as
+        is; an empty mask records nothing.
+        """
+        if not mask:
+            return
+        if self.trail is not None:
+            self.trail.append(mask)
+            self.trail_pushes += 1
+        self.cand_bits &= ~mask
 
     # ------------------------------------------------------------------ #
     # Trail (undo stack)
@@ -327,35 +379,31 @@ class BitsetSearchState:
     def rewind_to(self, mark: int) -> int:
         """Undo every transition recorded after ``mark``; return how many were popped.
 
-        Entries are popped LIFO, so each inverse runs against exactly the
+        Entries are undone LIFO, so each inverse runs against exactly the
         state that existed right after its forward operation — which is what
-        lets the inverse recompute the ``non_nbrs`` / ``missing_in_solution``
-        deltas instead of storing them.
+        lets the inverse recompute the ``missing_in_solution`` delta instead
+        of storing it.
         """
         trail = self.trail
         assert trail is not None, "rewind_to() requires begin_trail()"
-        adj = self.adj
-        non_nbrs = self.non_nbrs
-        popped = 0
-        while len(trail) > mark:
-            entry = trail.pop()
-            popped += 1
+        popped = len(trail) - mark
+        if popped <= 0:
+            return 0
+        entries = trail[mark:]
+        del trail[mark:]
+        cand = self.cand_bits
+        for entry in reversed(entries):
             if type(entry) is int:
-                # Candidate removal: restoring the bit is all there is.
-                self.cand_bits |= 1 << entry
+                # Candidate removal: restoring the bits is all there is.
+                cand |= entry
                 continue
-            v, aux = entry
-            # Inverse of add_to_solution(v): decrement the very counters
-            # the forward op incremented (cand_bits still excludes v
-            # here, exactly as it did right after the forward update).
-            bit = 1 << v
-            for u in bits_of(self.cand_bits & ~adj[v]):
-                non_nbrs[u] -= 1
+            # Inverse of add_to_solution(v): the split is restored as it was.
+            v, self.last_added, self.cost = entry
             self.solution.pop()
-            self.solution_bits &= ~bit
-            self.cand_bits |= bit
-            self.missing_in_solution -= non_nbrs[v]
-            self.last_added = aux
+            self.solution_bits &= ~(1 << v)
+            cand |= 1 << v
+            self.missing_in_solution -= self.non_nbrs(v)
+        self.cand_bits = cand
         self.trail_pops += popped
         return popped
 
@@ -379,8 +427,11 @@ class BitsetSearchState:
         assert missing == self.missing_in_solution, (
             f"missing_in_solution mismatch: cached {self.missing_in_solution}, actual {missing}"
         )
+        cost = self.cost_masks()
+        assert len(cost) == max(self.slack(), -1) + 2, "cost split has the wrong length"
+        assert sum(m.bit_count() for m in cost) == self.cand_bits.bit_count(), (
+            "cost masks do not partition the candidates"
+        )
         for v in iter_bits(self.cand_bits):
             expected = (self.solution_bits & ~self.adj[v]).bit_count()
-            assert self.non_nbrs[v] == expected, (
-                f"non_nbrs mismatch for {v}: cached {self.non_nbrs[v]}, actual {expected}"
-            )
+            assert (cost[min(expected, len(cost) - 1)] >> v) & 1, f"cost mask misplaces {v}"

@@ -9,16 +9,36 @@ identical optimal sizes), but operates on the packed
 Performance notes
 -----------------
 Pure-Python bit iteration is the dominant cost of a bitset kernel, so the
-inner loops share two disciplines:
+kernel works on masks wherever a rule's decision allows it, and visits
+vertices one by one only where a per-vertex popcount decides:
 
-* candidate scans materialise the set bits once via
+* **Per-cost masks.**  The state splits the candidates by their number of
+  non-neighbours in ``S`` (0..slack, plus one mask for those above the
+  slack; :meth:`BitsetSearchState.cost_masks
+  <repro.core.bitset_state.BitsetSearchState.cost_masks>`).  An addition
+  derives the new split in O(slack) mask operations and a rewind restores
+  the old one, so no per-vertex counter is kept.  UB3 is then a popcount
+  per cost; UB1 needs one popcount per cost and colour class instead of a
+  sorted list per class; RR1 removes the mask above the slack; RR3 reads
+  its reserved prefix off the counts and extracts ids only in the boundary
+  cost class; RR4 scans one cost class at a time; BR scans only the
+  cheapest non-empty cost class above 0.
+* **One trail entry per removal sweep.**  RR1, RR3 and RR4 decide every
+  removal on state the batch does not change, then remove the batch with
+  :meth:`~repro.core.bitset_state.BitsetSearchState.remove_candidates`;
+  RR5 records one entry per cascade pass.  Rewinding restores a sweep
+  with one ``|=``.
+* **Root-degree masks.**  :meth:`BitsetEngine.run` builds ``at_least[t]``,
+  the vertices of root-instance degree at least ``t``, once per run in
+  O(n); RR2 scans only ``at_least[|V(g)| - 2]`` of its queue.
+* **RR4 decides from ``cn`` first.**  Its bound is ``|S| + 1 + cn + tail``
+  with ``0 <= tail <= slack``, so one popcount settles most candidates and
+  only the rest compute the exact tail.
+* Where a list is still needed, the set bits are materialised once via
   :func:`~repro.core.bitset_state.bits_of` (a byte-table walk over
-  ``int.to_bytes`` whose per-element cost is several times lower than
-  repeated ``mask & -mask`` extraction) and then iterate the list at C speed;
-* the engine extracts the candidate list once per node and shares it
-  between the leaf test, UB3, UB1 and the branching rule, and a full recolor
-  shares its instance-graph degree scan with the branching rule — the state
-  is not mutated between those steps.
+  ``int.to_bytes``) and iterated at C speed; the engine extracts the
+  candidate list once per node for the leaf test, the coloring and BR, and
+  a full recolor shares its degree scan with BR.
 
 :class:`BitsetEngine` is the branch-and-bound driver over that state.  It is
 deliberately incumbent-*sharing*: the caller hands it a mutable ``incumbent``
@@ -32,7 +52,7 @@ Trail engine invariants
 The engine keeps ONE mutable state for the whole search and makes a node's
 cost proportional to what changed, resting on three invariants:
 
-1. **Trail (undo stack).**  Every ``add_to_solution`` / ``remove_candidate``
+1. **Trail (undo stack).**  Every addition and every removal sweep
    pushes a reversible delta onto the state's trail
    (:meth:`BitsetSearchState.rewind_to` pops them LIFO).  The engine takes a
    mark at node entry and rewinds to it when the node's subtree is explored,
@@ -44,7 +64,7 @@ cost proportional to what changed, resting on three invariants:
 
    * RR1 (``|\\bar{N}_S(v)| > k - |\\bar{E}(S)|``) can newly fire only after
      a vertex ``w`` joins ``S`` — for every candidate if the budget shrank
-     (``non_nbrs[w] > 0``), else only for ``cand \\ N(w)``;
+     (``w`` has a non-neighbour in ``S``), else only for ``cand \\ N(w)``;
    * RR2 can newly fire only after a *removal* ``u`` (the removal shrinks a
      candidate's non-neighbourhood inside ``g``), and only for
      ``cand \\ N(u)`` — additions monotonically disqualify;
@@ -154,7 +174,7 @@ class ReductionWorklist:
 
     def note_added(self, state: BitsetSearchState, v: int) -> None:
         """Vertex ``v`` joined ``S``: dirty RR1 (everyone if the budget shrank)."""
-        if state.non_nbrs[v]:
+        if state.non_nbrs(v):
             self.rr1 = _ALL_DIRTY
         else:
             self.rr1 |= state.cand_bits & ~state.adj[v]
@@ -171,26 +191,26 @@ def bitset_rr1(
 ) -> int:
     """RR1 (excess-removal): drop candidates whose inclusion would exceed ``k`` missing edges.
 
-    Only the candidates in ``mask`` are scanned; a vertex outside the mask
-    provably cannot violate RR1 given the previously reached fixpoint.
+    Only the candidates in ``mask`` are drained; a vertex outside the mask
+    provably cannot violate RR1 given the previously reached fixpoint.  The
+    violators are the state's above-slack cost mask, so no candidate is
+    visited one by one.
     """
-    budget = state.k - state.missing_in_solution
-    adj = state.adj
-    non_nbrs = state.non_nbrs
-    removed = 0
-    adj_and = _ALL_DIRTY
-    adj_or = 0
-    scan_list = bits_of(state.cand_bits & mask)
+    drained = state.cand_bits & mask
     if stats is not None:
-        stats.dirty_drained += len(scan_list)
-    for v in scan_list:
-        if non_nbrs[v] > budget:
-            state.remove_candidate(v)
+        stats.dirty_drained += drained.bit_count()
+    gone = state.cost[-1] & drained
+    removed = 0
+    if gone:
+        adj = state.adj
+        adj_and = _ALL_DIRTY
+        adj_or = 0
+        for v in bits_of(gone):
             adj_v = adj[v]
             adj_and &= adj_v
             adj_or |= adj_v
             removed += 1
-    if removed:
+        state.remove_candidates(gone)
         worklist.note_removed_batch(state, adj_and, adj_or)
     if stats is not None:
         stats.count_reduction("RR1", removed)
@@ -202,7 +222,7 @@ def bitset_rr2(
     mask: int,
     worklist: ReductionWorklist,
     stats: Optional[SearchStats] = None,
-    root_degrees: Optional[List[int]] = None,
+    at_least: Optional[List[int]] = None,
 ) -> int:
     """RR2 (high-degree): greedily move candidates adjacent to all but ≤ 1 vertex of ``g`` into ``S``.
 
@@ -214,43 +234,48 @@ def bitset_rr2(
     can only disqualify further, and any removal that could re-qualify it
     re-dirties it through :meth:`ReductionWorklist.note_removed_batch`.
 
-    ``root_degrees`` (each vertex's degree in the engine's root instance)
-    enables an exact integer-only pre-filter: qualification means
-    ``deg_g(v) >= |V(g)| - 2``, and degrees only shrink, so
-    ``root_degrees[v] < |V(g)| - 2`` proves non-qualification without
-    touching a bitmask — which is what keeps RR2 cheap on sparse instances,
-    where nearly every removal dirties nearly every candidate.
+    ``at_least`` (``at_least[t]``: the vertices whose degree in the engine's
+    root instance is at least ``t``) enables an exact mask pre-filter:
+    qualification means ``deg_g(v) >= |V(g)| - 2``, and degrees only
+    shrink, so only ``at_least[|V(g)| - 2]`` is scanned — which is what
+    keeps RR2 cheap on sparse instances, where nearly every removal dirties
+    nearly every candidate.
     """
     adj = state.adj
-    non_nbrs = state.non_nbrs
     moved = 0
     pending = mask
     progress = True
     while progress:
         progress = False
         verts = state.solution_bits | state.cand_bits
-        budget = state.k - state.missing_in_solution
-        min_degree = verts.bit_count() - 2 if root_degrees is not None else 0
-        scan_list = bits_of(state.cand_bits & pending)
+        # A candidate above the slack could not join S (RR1 removes it).
+        scan = state.cand_bits & pending & ~state.cost[-1]
+        if at_least is not None:
+            # A vertex the mask filters out cannot qualify now; only removing
+            # one of its non-neighbours can change that, and the removal
+            # queues it again (note_removed_batch).
+            t = verts.bit_count() - 2
+            if t >= len(at_least):
+                break
+            if t > 0:
+                scan &= at_least[t]
+        if not scan:
+            break
+        scan_list = bits_of(scan)
         if stats is not None:
             stats.dirty_drained += len(scan_list)
         for v in scan_list:
-            if root_degrees is not None and root_degrees[v] < min_degree:
-                # Removing one of v's *neighbours* shrinks |V(g)| and can
-                # re-qualify v, so v must stay in the pending mask.
-                continue
             # "adjacent to all but at most one vertex of g": the non-neighbour
             # mask of v inside g (minus v itself) has at most one bit set.
-            if non_nbrs[v] <= budget:
-                others = (verts & ~adj[v]) ^ (1 << v)
-                if not (others & (others - 1)):
-                    state.add_to_solution(v)
-                    worklist.note_added(state, v)
-                    moved += 1
-                    progress = True
-                    # Moving a vertex into S changes the non-neighbour
-                    # counters of the remaining candidates: restart the scan.
-                    break
+            others = (verts & ~adj[v]) ^ (1 << v)
+            if not (others & (others - 1)):
+                state.add_to_solution(v)
+                worklist.note_added(state, v)
+                moved += 1
+                progress = True
+                # Moving a vertex into S changes the costs of the remaining
+                # candidates: restart the scan.
+                break
             pending &= ~(1 << v)
     if stats is not None and moved:
         stats.rr2_additions += moved
@@ -265,36 +290,60 @@ def bitset_rr3(
 ) -> int:
     """RR3 (degree-sequence-based): remove candidates that UB3 proves useless.
 
+    The reserved prefix is the ``lb - |S|`` cheapest candidates by
+    ``(cost, id)``, where a candidate's cost is its number of non-neighbours
+    in ``S``; a candidate outside it is removed when its cost exceeds the
+    slack left after the prefix.  The prefix is read off the per-cost masks
+    of :meth:`~repro.core.bitset_state.BitsetSearchState.cost_masks` with a
+    popcount per cost, and individual ids are extracted only inside the
+    boundary cost class, and only when the threshold falls below it.
+
     A global sorted-prefix rule, so it has no per-vertex worklist; it only
     *feeds* the worklist with its removals.
     """
     needed = lower_bound - len(state.solution)
     cand = state.cand_bits
-    if needed < 0 or not cand:
+    if needed < 0 or needed >= cand.bit_count():
         return 0
-    non_nbrs = state.non_nbrs
-    # Pack (cost, vertex) into one int so the sort needs no key function.
-    shift = len(state.adj).bit_length()
-    id_mask = (1 << shift) - 1
-    ordered = [(non_nbrs[v] << shift) | v for v in state.candidate_list()]
-    ordered.sort()
-    if needed >= len(ordered):
-        return 0
-    prefix_cost = sum(code >> shift for code in ordered[:needed])
-    threshold = state.slack() - prefix_cost
-    removed = 0
-    adj = state.adj
-    adj_and = _ALL_DIRTY
-    adj_or = 0
-    for code in ordered[needed:]:
-        if (code >> shift) > threshold:
-            v = code & id_mask
-            state.remove_candidate(v)
+    cost = state.cost_masks()
+    slack = len(cost) - 2
+    remaining = needed
+    prefix_cost = 0
+    for c in range(slack + 1):
+        count = cost[c].bit_count()
+        if count >= remaining:
+            prefix_cost += c * remaining
+            threshold = slack - prefix_cost
+            # Every candidate costlier than the threshold goes, except the
+            # prefix's share of class c when the threshold falls below c.
+            gone = cost[-1]
+            for above in cost[max(threshold + 1, c + 1):-1]:
+                gone |= above
+            if threshold < c:
+                rest = cost[c]
+                for _ in range(remaining):
+                    rest &= rest - 1
+                gone |= rest
+            break
+        prefix_cost += c * count
+        remaining -= count
+    else:
+        # The prefix reaches past the slack, so nothing outside it fits:
+        # keep the cheapest of RR1's pending candidates, remove the others.
+        over = sorted(bits_of(cost[-1]), key=state.non_nbrs)
+        gone = cost[-1]
+        for v in over[:remaining]:
+            gone &= ~(1 << v)
+    removed = gone.bit_count()
+    if removed:
+        adj = state.adj
+        adj_and = _ALL_DIRTY
+        adj_or = 0
+        for v in bits_of(gone):
             adj_v = adj[v]
             adj_and &= adj_v
             adj_or |= adj_v
-            removed += 1
-    if removed:
+        state.remove_candidates(gone)
         worklist.note_removed_batch(state, adj_and, adj_or)
     if stats is not None:
         stats.count_reduction("RR3", removed)
@@ -307,7 +356,6 @@ def bitset_rr4(
     worklist: ReductionWorklist,
     stats: Optional[SearchStats] = None,
     mask: Optional[int] = None,
-    root_degrees: Optional[List[int]] = None,
 ) -> int:
     """RR4 (second-order): pairwise bound with the last-added solution vertex.
 
@@ -319,74 +367,67 @@ def bitset_rr4(
     engine on exclude transitions: removing ``b`` lowers the pairwise bound
     mostly for ``b``'s neighbours, so they are the profitable scan.
 
-    ``root_degrees`` enables an exact integer-only shortcut: with
-    ``cn <= min(nu_total, deg(v))`` and ``tail <= slack_v``, a candidate
-    whose *relaxed* bound ``base + min(nu_total, root_degrees[v]) + slack_v``
-    already fails the incumbent is removed without computing any
-    intersection; the exact bound is only evaluated for the rest, so the
-    removal set is unchanged.
+    A candidate ``v`` is removed when ``|S| + 1 + cn + tail <= lb``, where
+    ``cn`` counts the common candidate neighbours of ``v`` and the
+    last-added vertex and ``0 <= tail <= slack_v``.  So ``cn`` alone decides
+    most candidates: ``v`` stays when ``|S| + 1 + cn > lb`` and goes when
+    ``|S| + 1 + cn + slack_v <= lb``; only the rest compute the exact tail.
     """
     u = state.last_added
     cand = state.cand_bits
     if u is None or not cand:
         return 0
-    k = state.k
     adj = state.adj
-    non_nbrs = state.non_nbrs
-    missing = state.missing_in_solution
+    room = state.k - state.missing_in_solution
     u_nbrs_in_cand = adj[u] & cand
     nu_total = u_nbrs_in_cand.bit_count()
     total = cand.bit_count() - 1
-    base = len(state.solution) + 1
+    # v stays while cn > keep_above; an undecided v needs tail <= need.
+    keep_above = lower_bound - len(state.solution) - 1
 
-    if mask is None:
-        scan_list = state.candidate_list()
-    else:
-        scan_list = bits_of(cand & mask)
+    scan = cand
+    if mask is not None:
+        scan &= mask
         if stats is not None:
-            stats.dirty_drained += len(scan_list)
-    # Set membership beats a per-candidate wide right-shift of the bitmask.
-    u_nbr_set = set(bits_of(u_nbrs_in_cand))
-    to_remove: List[int] = []
-    for v in scan_list:
-        missing_s_prime = missing + non_nbrs[v]
-        if missing_s_prime > k:
-            continue  # RR1 will remove it
-        slack = k - missing_s_prime
-        if root_degrees is not None:
-            cn_cap = root_degrees[v]
-            if nu_total < cn_cap:
-                cn_cap = nu_total
-            if base + cn_cap + slack <= lower_bound:
-                to_remove.append(v)
-                continue
-        nu = nu_total - 1 if v in u_nbr_set else nu_total
-        v_nbrs_in_cand = adj[v] & cand
-        cn = (u_nbrs_in_cand & v_nbrs_in_cand).bit_count()
-        dv = v_nbrs_in_cand.bit_count()
-        xn = (nu - cn) + (dv - cn)
-        cnon = total - cn - xn
-        if slack > xn:
-            tail = xn + min(cnon, (slack - xn) // 2)
-            if tail > slack:
-                tail = slack
-        else:
-            tail = slack
-        if base + cn + tail <= lower_bound:
-            to_remove.append(v)
-
+            stats.dirty_drained += scan.bit_count()
+    removed = 0
+    gone = 0
     adj_and = _ALL_DIRTY
     adj_or = 0
-    for v in to_remove:
-        state.remove_candidate(v)
-        adj_v = adj[v]
-        adj_and &= adj_v
-        adj_or |= adj_v
-    if to_remove:
+    # The candidates above the slack (the last cost mask) are RR1's.
+    for c, level in enumerate(state.cost[:-1]):
+        level &= scan
+        if not level:
+            continue
+        slack = room - c
+        for v in bits_of(level):
+            cn = (u_nbrs_in_cand & adj[v]).bit_count()
+            if cn > keep_above:
+                continue
+            need = keep_above - cn
+            if slack > need:
+                nu = nu_total - ((u_nbrs_in_cand >> v) & 1)
+                dv = (adj[v] & cand).bit_count()
+                xn = (nu - cn) + (dv - cn)
+                if slack > xn:
+                    tail = xn + min(total - cn - xn, (slack - xn) // 2)
+                    if tail > slack:
+                        tail = slack
+                else:
+                    tail = slack
+                if tail > need:
+                    continue
+            gone |= 1 << v
+            adj_v = adj[v]
+            adj_and &= adj_v
+            adj_or |= adj_v
+            removed += 1
+    if removed:
+        state.remove_candidates(gone)
         worklist.note_removed_batch(state, adj_and, adj_or)
     if stats is not None:
-        stats.count_reduction("RR4", len(to_remove))
-    return len(to_remove)
+        stats.count_reduction("RR4", removed)
+    return removed
 
 
 def bitset_rr5(
@@ -404,7 +445,9 @@ def bitset_rr5(
     Only the vertices in ``mask`` (candidates *and* solution members) are
     examined; the removal cascade is drained internally — each removal
     dirties its surviving neighbours — so the unique core fixpoint is
-    reached exactly as with a full sweep.
+    reached exactly as with a full sweep.  Each pass tests its candidates
+    against the vertices surviving so far and records its removals as one
+    trail entry.
     """
     threshold = lower_bound - state.k
     if threshold <= 0:
@@ -415,26 +458,31 @@ def bitset_rr5(
     adj_and = _ALL_DIRTY
     while pending:
         verts = state.solution_bits | state.cand_bits
-        sol_scan = bits_of(pending & state.solution_bits)
+        sol_pending = pending & state.solution_bits
         cand_scan = bits_of(pending & state.cand_bits)
         if stats is not None:
-            stats.dirty_drained += len(sol_scan) + len(cand_scan)
+            stats.dirty_drained += sol_pending.bit_count() + len(cand_scan)
+        if sol_pending:
+            for u in state.solution:
+                if (sol_pending >> u) & 1 and (adj[u] & verts).bit_count() < threshold:
+                    if stats is not None:
+                        stats.count_reduction("RR5", removed)
+                    return removed, True
         pending = 0
-        for u in sol_scan:
-            if (adj[u] & verts).bit_count() < threshold:
-                if stats is not None:
-                    stats.count_reduction("RR5", removed)
-                return removed, True
+        gone = 0
         for v in cand_scan:
             if (adj[v] & verts).bit_count() < threshold:
-                state.remove_candidate(v)
-                verts = state.solution_bits | state.cand_bits
+                bit = 1 << v
+                verts ^= bit
+                gone |= bit
                 # The cascade re-examines the removed vertex's neighbours;
                 # RR2 dirtiness is published once, after the drain.
                 adj_v = adj[v]
                 adj_and &= adj_v
                 pending |= adj_v
                 removed += 1
+        if gone:
+            state.remove_candidates(gone)
     if removed:
         worklist.rr2 |= state.cand_bits & ~adj_and
     if stats is not None:
@@ -448,7 +496,7 @@ def bitset_apply_reductions(
     lower_bound: int,
     worklist: ReductionWorklist,
     stats: Optional[SearchStats] = None,
-    root_degrees: Optional[List[int]] = None,
+    at_least: Optional[List[int]] = None,
 ) -> bool:
     """Exhaustively apply the enabled reduction rules (Line 4 of Algorithms 1/2).
 
@@ -479,7 +527,9 @@ def bitset_apply_reductions(
     cheaper ones.
 
     This skips the full verification pass the dict/set backend pays at every
-    node.  Returns ``True`` when RR5 proves the instance can be discarded.
+    node.  ``at_least`` is RR2's root-degree pre-filter (see
+    :func:`bitset_rr2`).  Returns ``True`` when RR5 proves the instance can
+    be discarded.
     """
     use_rr5 = config.use_rr5
     use_rr3 = config.use_rr3
@@ -495,7 +545,7 @@ def bitset_apply_reductions(
         if wl.rr2:
             mask = wl.rr2
             wl.rr2 = 0
-            if bitset_rr2(state, mask, wl, stats, root_degrees=root_degrees):
+            if bitset_rr2(state, mask, wl, stats, at_least=at_least):
                 rr3_dirty = use_rr3
         if use_rr5 and wl.rr5:
             mask = wl.rr5
@@ -511,8 +561,7 @@ def bitset_apply_reductions(
         if rr4_mask:
             mask = None if rr4_mask == _ALL_DIRTY else rr4_mask
             rr4_mask = 0
-            if bitset_rr4(state, lower_bound, wl, stats, mask=mask,
-                          root_degrees=root_degrees):
+            if bitset_rr4(state, lower_bound, wl, stats, mask=mask):
                 rr3_dirty = use_rr3
     return False
 
@@ -558,7 +607,11 @@ def bitset_color_classes(
     return class_masks
 
 
-def bitset_ub1_from_classes(state: BitsetSearchState, class_masks: Sequence[int]) -> int:
+def bitset_ub1_from_classes(
+    state: BitsetSearchState,
+    class_masks: Sequence[int],
+    cost: Optional[List[int]] = None,
+) -> int:
     """Evaluate UB1 from pre-computed colour-class bitmasks.
 
     ``class_masks`` may be stale — each class is intersected with the
@@ -567,29 +620,43 @@ def bitset_ub1_from_classes(state: BitsetSearchState, class_masks: Sequence[int]
     independent sets).  This is what lets the engine *repair* an inherited
     coloring instead of rebuilding it.
 
-    Every selectable weight lies in ``0..budget``, so a counting sort
-    replaces the global sort; within a class the weight ``cost + j`` is
-    strictly increasing, allowing the early break.
+    Inside a class the member of rank ``j`` (cheapest first) weighs its
+    cost plus ``j``, and every selectable weight lies in ``0..slack``.  So a
+    class needs only how many members have each cost: one popcount against
+    each per-cost mask ``cost`` (default:
+    :meth:`~repro.core.bitset_state.BitsetSearchState.cost_masks`), with no
+    per-member list and no sort.  A counting sort over the weights then
+    replaces the global sort.
     """
     budget = state.slack()
     if budget < 0:
         return len(state.solution)
-    non_nbrs = state.non_nbrs
+    if cost is None:
+        cost = state.cost_masks()
     cand = state.cand_bits
-    counts = [0] * (budget + 1)
+    limit = budget + 1
+    # A difference array over the weights: a class's run of weights
+    # w..end-1 costs two updates, and the running sum counts the classes
+    # offering each weight.
+    diff = [0] * (limit + 1)
     for cmask in class_masks:
         members = cmask & cand
-        if not members:
-            continue
-        costs = sorted(non_nbrs[v] for v in bits_of(members))
-        for j, cost in enumerate(costs):
-            w = cost + j
-            if w > budget:
+        rank = 0
+        for c in range(limit):
+            if not members or c + rank >= limit:
                 break
-            counts[w] += 1
-    count = counts[0]
-    for w in range(1, budget + 1):
-        avail = counts[w]
+            same = members & cost[c]
+            if same:
+                members ^= same
+                size = same.bit_count()
+                w = c + rank
+                diff[w] += 1
+                diff[min(w + size, limit)] -= 1
+                rank += size
+    avail = diff[0]
+    count = avail
+    for w in range(1, limit):
+        avail += diff[w]
         if not avail:
             continue
         affordable = budget // w
@@ -616,28 +683,26 @@ def bitset_ub2_min_degree(state: BitsetSearchState) -> int:
 
 
 def bitset_ub3_degree_sequence(
-    state: BitsetSearchState, cand_list: Optional[List[int]] = None
+    state: BitsetSearchState,
+    cand_list: Optional[List[int]] = None,
+    cost: Optional[List[int]] = None,
 ) -> int:
     """The degree-sequence bound **UB3** of KDBB.
 
     Equivalent to the sort-based set implementation, but because every
-    selectable cost lies in ``0..slack`` the greedy prefix is computed by
-    counting sort in O(|candidates| + k).
+    selectable cost lies in ``0..slack`` the greedy prefix is a counting
+    sort, and the counts are popcounts of the per-cost masks ``cost``
+    (default: :meth:`~repro.core.bitset_state.BitsetSearchState.cost_masks`).
+    ``cand_list`` is accepted for callers that pass one, and not used.
     """
     budget = state.slack()
     if budget < 0:
         return len(state.solution)
-    non_nbrs = state.non_nbrs
-    if cand_list is None:
-        cand_list = bits_of(state.cand_bits)
-    counts = [0] * (budget + 1)
-    for v in cand_list:
-        c = non_nbrs[v]
-        if c <= budget:
-            counts[c] += 1
-    count = counts[0]
+    if cost is None:
+        cost = state.cost_masks()
+    count = cost[0].bit_count()
     for c in range(1, budget + 1):
-        avail = counts[c]
+        avail = cost[c].bit_count()
         if not avail:
             continue
         affordable = budget // c
@@ -660,40 +725,40 @@ def bitset_select_branching_vertex(
     """Branching rule BR on bitmasks (same preference order as the set backend).
 
     Prefers a candidate with at least one non-neighbour in ``S`` — fewest
-    non-neighbours first, ties towards highest degree — and falls back to a
-    maximum-degree candidate when every candidate is fully adjacent to ``S``.
+    non-neighbours first, ties towards highest degree, then lowest id — and
+    falls back to a maximum-degree candidate when every candidate is fully
+    adjacent to ``S``.  The cost masks name the cheapest non-empty cost
+    above 0, so only that class competes; ``cand_list`` (the candidates in
+    ascending order) serves the fallback.
     """
-    if cand_list is None:
-        cand_list = bits_of(state.cand_bits)
-    if not cand_list:
+    cand = state.cand_bits
+    if not cand:
         return None
+    pool = None
+    for level in state.cost[1:-1]:
+        level &= cand
+        if level:
+            pool = bits_of(level)
+            break
+    else:
+        # Above the slack (RR1's to remove) the costs differ: rank them.
+        costs = [(state.non_nbrs(v), v) for v in bits_of(state.cost[-1] & cand)]
+        costs = [pair for pair in costs if pair[0]]
+        if costs:
+            cheapest = min(costs)[0]
+            pool = [v for c, v in costs if c == cheapest]
+    if pool is None:
+        pool = cand_list if cand_list is not None else bits_of(cand)
     adj = state.adj
-    verts = state.solution_bits | state.cand_bits
-    non_nbrs = state.non_nbrs
-
+    verts = state.solution_bits | cand
     best_vertex = -1
-    best_count = -1
     best_degree = -1
-    fallback_vertex = -1
-    fallback_degree = -1
-    for v in cand_list:
-        count = non_nbrs[v]
-        if count == 0:
-            if best_vertex < 0:
-                degree = degrees[v] if degrees is not None else (adj[v] & verts).bit_count()
-                if degree > fallback_degree:
-                    fallback_degree = degree
-                    fallback_vertex = v
-            continue
-        if best_count == -1 or count <= best_count:
-            degree = degrees[v] if degrees is not None else (adj[v] & verts).bit_count()
-            if count < best_count or best_count == -1 or degree > best_degree:
-                best_count = count
-                best_degree = degree
-                best_vertex = v
-    if best_vertex >= 0:
-        return best_vertex
-    return fallback_vertex
+    for v in pool:
+        degree = degrees[v] if degrees is not None else (adj[v] & verts).bit_count()
+        if degree > best_degree:
+            best_degree = degree
+            best_vertex = v
+    return best_vertex
 
 
 # --------------------------------------------------------------------------- #
@@ -792,20 +857,25 @@ class BitsetEngine:
         state = BitsetSearchState.initial(adj, k, vertices_bits)
         if forced is not None:
             state.add_to_solution(forced)
-        # Degrees in the root instance, computed once per run: degrees only
-        # shrink down the tree, so these upper bounds power the exact
-        # integer-only pre-filters of RR2 and RR4 at every node.
+        # at_least[t]: the vertices of degree >= t in the root instance,
+        # built once per run in O(n).  Degrees only shrink down the tree, so
+        # this is RR2's exact mask pre-filter at every node.
         root_degrees = [(row & vertices_bits).bit_count() for row in adj]
+        at_least = [0] * (max(root_degrees, default=0) + 1)
+        for v, degree in enumerate(root_degrees):
+            at_least[degree] |= 1 << v
+        for t in range(len(at_least) - 2, -1, -1):
+            at_least[t] |= at_least[t + 1]
         state.begin_trail()
         try:
-            self._search(state, root_degrees)
+            self._search(state, at_least)
         finally:
             # Budget interrupts abandon the state mid-rewind; the counters
             # must still reach the stats (the solve reports optimal=False).
             self.stats.trail_pushes += state.trail_pushes
             self.stats.trail_pops += state.trail_pops
 
-    def _search(self, state: BitsetSearchState, root_degrees: List[int]) -> None:
+    def _search(self, state: BitsetSearchState, at_least: List[int]) -> None:
         config = self.config
         stats = self.stats
         check_budget = self.check_budget
@@ -869,7 +939,7 @@ class BitsetEngine:
                 rr3=heavy, rr4=_ALL_DIRTY if heavy else rr5_mask,
             )
             if bitset_apply_reductions(
-                state, config, lb_used, worklist, stats, root_degrees=root_degrees,
+                state, config, lb_used, worklist, stats, at_least=at_least,
             ):
                 state.rewind_to(mark0)
                 continue
@@ -886,7 +956,10 @@ class BitsetEngine:
                 stats.prunes_by_bound += 1
                 state.rewind_to(mark0)
                 continue
-            if use_ub3 and bitset_ub3_degree_sequence(state, cand_list) <= incumbent_len:
+            # One per-cost split of the candidates serves UB3, UB1 and BR at
+            # this node (S and the candidates stay put until the branch).
+            cost = state.cost_masks() if use_ub1 or use_ub3 else None
+            if use_ub3 and bitset_ub3_degree_sequence(state, cost=cost) <= incumbent_len:
                 stats.prunes_by_bound += 1
                 state.rewind_to(mark0)
                 continue
@@ -896,10 +969,9 @@ class BitsetEngine:
                 if not recolor and classes is not None:
                     # Repair: deletions only shrink classes, so intersecting
                     # with the surviving candidates keeps a valid partition.
-                    cand = state.cand_bits
-                    classes = [m for m in (cmask & cand for cmask in classes) if m]
+                    classes = [m for m in map(state.cand_bits.__and__, classes) if m]
                     stats.recolor_repair += 1
-                    ub1 = bitset_ub1_from_classes(state, classes)
+                    ub1 = bitset_ub1_from_classes(state, classes, cost)
                     if ub1 <= incumbent_len:
                         stats.prunes_by_bound += 1
                         state.rewind_to(mark0)
@@ -915,7 +987,7 @@ class BitsetEngine:
                     degrees = self._degree_scan(state, cand_list)
                     classes = bitset_color_classes(state, cand_list, degrees)
                     stats.recolor_full += 1
-                    if bitset_ub1_from_classes(state, classes) <= incumbent_len:
+                    if bitset_ub1_from_classes(state, classes, cost) <= incumbent_len:
                         stats.prunes_by_bound += 1
                         state.rewind_to(mark0)
                         continue
@@ -923,8 +995,8 @@ class BitsetEngine:
             # The partial solution S itself is a valid k-defective clique.
             self._record(state.solution)
 
-            # At repair nodes BR computes the degrees it needs lazily (only
-            # the tie-break candidates), skipping the full scan.
+            # At repair nodes BR computes the degrees it needs itself, and
+            # only for its cheapest cost class.
             branching_vertex = bitset_select_branching_vertex(state, degrees, cand_list)
             if branching_vertex is None:
                 state.rewind_to(mark0)
@@ -940,7 +1012,7 @@ class BitsetEngine:
                  lb_used, classes, child_stale)
             )
             state.add_to_solution(branching_vertex)
-            if state.non_nbrs[branching_vertex]:
+            if state.non_nbrs(branching_vertex):
                 rr1_child = _ALL_DIRTY  # the missing-edge budget shrank
             else:
                 rr1_child = state.cand_bits & ~state.adj[branching_vertex]

@@ -59,12 +59,15 @@ class SearchStats:
     #: degraded to sequential by lost-worker recovery reports 1, so timing
     #: consumers never over-state parallelism.
     workers: int = 0
-    #: trail engine: reversible deltas pushed onto the undo stack
+    #: trail engine: reversible entries pushed onto the undo stack, one per
+    #: addition and one per removal sweep (a rule's whole batch, or one
+    #: RR5 cascade pass)
     trail_pushes: int = 0
-    #: trail engine: deltas popped while backtracking
+    #: trail engine: entries popped while backtracking
     trail_pops: int = 0
     #: trail engine: vertices drained from the reduction worklist's dirty
-    #: queues (the worklist twin of "candidates scanned per node")
+    #: queues (the worklist twin of "candidates scanned per node"); RR2
+    #: counts only the queued vertices its root-degree mask lets through
     dirty_drained: int = 0
     #: trail engine: coloring-bound full recolors (staleness counter tripped
     #: or no cached classes)

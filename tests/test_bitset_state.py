@@ -115,8 +115,11 @@ class TestBitsetSearchState:
             assert bit_state.total_missing() == set_state.total_missing()
             assert bit_state.is_defective_clique() == set_state.is_defective_clique()
             assert bit_state.slack() == set_state.slack()
+            cost = bit_state.cost_masks()
             for u in set_state.candidates:
-                assert bit_state.non_nbrs[u] == set_state.non_nbrs_in_solution[u]
+                in_split = min(set_state.non_nbrs_in_solution[u], len(cost) - 1)
+                assert (cost[in_split] >> u) & 1
+                assert bit_state.missing_if_added(u) == set_state.missing_if_added(u)
                 assert bit_state.degree(u) == set_state.degree_in_graph[u]
 
             assert bitset_ub3_degree_sequence(bit_state) == ub3_degree_sequence(set_state)
@@ -145,9 +148,9 @@ def _rr3_reference(state, lower_bound):
     if needed < 0 or needed >= len(cand):
         return 0
     cost = state.non_nbrs
-    ordered = sorted(cand, key=lambda v: (cost[v], v))
-    threshold = state.slack() - sum(cost[v] for v in ordered[:needed])
-    return mask_of(v for v in ordered[needed:] if cost[v] > threshold)
+    ordered = sorted(cand, key=lambda v: (cost(v), v))
+    threshold = state.slack() - sum(cost(v) for v in ordered[:needed])
+    return mask_of(v for v in ordered[needed:] if cost(v) > threshold)
 
 
 @pytest.mark.parametrize("seed", range(8))

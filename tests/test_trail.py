@@ -13,9 +13,9 @@ Two properties pin the branch-and-bound engine:
   replace the lockstep against it that this suite used to run.  A fifth
   table pins default solves at the benchmark's dense-search scale.  A change
   that alters the tree on purpose must re-record them and say why.
-* **Push/pop** — any sequence of trailed transitions followed by a rewind
-  restores the :class:`BitsetSearchState` bit-for-bit, including nested
-  marks.
+* **Push/pop** — any sequence of trailed transitions (additions, single
+  removals and batched removal sweeps) followed by a rewind restores the
+  :class:`BitsetSearchState` bit-for-bit, including nested marks.
 
 Exactness of the default configuration is checked here against the set
 backend and exhaustively in ``tests/test_differential.py``.
@@ -341,21 +341,28 @@ def _snapshot(state):
         state.solution_bits,
         state.cand_bits,
         state.missing_in_solution,
-        list(state.non_nbrs),
+        state.cost_masks(),
         state.last_added,
     )
 
 
 def _random_ops(state, rng, max_ops):
-    """Apply a random mix of trailed adds/removals; return how many were applied."""
+    """Apply a random mix of trailed adds, removals and batched removals.
+
+    Returns how many trail entries were pushed: one per operation, a batch
+    included.
+    """
     applied = 0
     for _ in range(max_ops):
         cand = bits_of(state.cand_bits)
         if not cand:
             break
         v = rng.choice(cand)
-        if rng.random() < 0.5 and state.missing_if_added(v) <= state.k:
+        roll = rng.random()
+        if roll < 0.5 and state.missing_if_added(v) <= state.k:
             state.add_to_solution(v)
+        elif roll < 0.75:
+            state.remove_candidates(mask_of(rng.sample(cand, rng.randint(1, len(cand)))))
         else:
             state.remove_candidate(v)
         applied += 1
