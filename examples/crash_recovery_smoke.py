@@ -21,7 +21,13 @@ It drives one full crash/recover cycle against a real ``repro serve
    uninterrupted daemon's solve of the same graph (a fourth daemon on an
    empty state directory), match the size of an in-process sequential
    reference, and its stats must show the journaled subproblems were
-   restored rather than re-searched.
+   restored rather than re-searched;
+3. **a mutate chain survives SIGKILL** — on a fresh state directory, add a
+   named graph and mutate it more times than the store's snapshot interval,
+   solve the chain tip, then ``kill -9`` the daemon.  Successors are durable
+   by their delta WAL record alone, so ``graphs/`` holds fewer snapshots
+   than there are graphs; a restarted daemon must still count every graph,
+   answer the tip from the results WAL, and resolve the name to the tip.
 
 The bit-identity baseline is a daemon, not the in-process reference: a
 graph rebuilt from the wire can order its adjacency differently, which is
@@ -39,6 +45,7 @@ import tempfile
 from repro.core import KDCSolver, SolverConfig, is_k_defective_clique
 from repro.graphs import gnp_random_graph
 from repro.service import Client
+from repro.service.store import SNAPSHOT_INTERVAL
 
 
 def start_daemon(state_dir, extra_env=None):
@@ -62,6 +69,54 @@ def start_daemon(state_dir, extra_env=None):
     host, port = listening.rsplit(" ", 1)[1].rsplit(":", 1)
     print(f"  daemon pid={proc.pid}: {restore}")
     return proc, restore, host, int(port)
+
+
+def absent_pairs(graph, count):
+    """The first ``count`` vertex pairs of ``graph`` that are not edges."""
+    vertices = sorted(graph.vertex_set())
+    pairs = ((u, v) for u in vertices for v in vertices if u < v and not graph.has_edge(u, v))
+    return [next(pairs) for _ in range(count)]
+
+
+def mutate_chain_survives_kill() -> None:
+    """Phase 5: a chain longer than the snapshot interval survives kill -9."""
+    base = gnp_random_graph(60, 0.15, seed=8)
+    steps = SNAPSHOT_INTERVAL + 8
+    with tempfile.TemporaryDirectory() as state_dir:
+        proc, _restore, host, port = start_daemon(state_dir)
+        try:
+            with Client.connect(host, port) as client:
+                tip = client.add_graph(base, name="chain")
+                for edge in absent_pairs(base, steps):
+                    tip = client.mutate("chain", adds=[edge], name="chain")["digest"]
+                answer = client.solve(tip, 1)
+                assert answer["optimal"]
+            print(f"  {steps} mutations applied; tip solved (size {answer['size']})")
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+        graphs = 1 + steps
+        snapshots = [f for f in os.listdir(os.path.join(state_dir, "graphs")) if f.endswith(".pkl")]
+        assert len(snapshots) < graphs, f"{len(snapshots)} snapshots for {graphs} graphs"
+        print(f"  daemon killed (exit {proc.returncode}); {len(snapshots)} snapshot(s) "
+              f"for {graphs} graphs")
+
+        proc, restore, host, port = start_daemon(state_dir)
+        try:
+            assert f"{graphs} graph(s)" in restore, f"restart must count every graph: {restore}"
+            with Client.connect(host, port) as client:
+                hit = client.solve(tip, 1)
+                assert hit["stats"]["cache_hit"], "the tip must answer from the results WAL"
+                assert hit["size"] == answer["size"]
+                edge = absent_pairs(base, steps + 1)[-1]
+                grown = client.mutate("chain", adds=[edge], name="chain")
+                assert grown["parent"] == tip, "the name must resolve to the restored tip"
+                print(f"  restored tip answered from cache (size {hit['size']}); chain extends")
+                assert client.shutdown()
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
 
 
 def main() -> None:
@@ -183,6 +238,9 @@ def main() -> None:
             finally:
                 if proc.poll() is None:
                     proc.kill()
+
+    print("=== phase 5: a mutate chain survives kill -9 ===")
+    mutate_chain_survives_kill()
     print("crash-recovery smoke: OK")
 
 

@@ -148,10 +148,12 @@ def apply_delta(graph: Graph, delta: EdgeDelta) -> Tuple[Graph, str]:
 
     ``graph`` is never modified: the successor is a copy changed by
     :func:`apply_delta_in_place`, with the same strict validation.  The
-    copy keeps ``graph``'s digest sum, so when ``graph`` has been digested
-    (or is itself a successor) the successor's digest costs only the
-    re-hashed rows of the delta's endpoints, O(sum of their degrees); a
-    graph never digested makes the successor's digest a full one.
+    copy shares every row the delta leaves alone with ``graph`` (see
+    :meth:`Graph.copy`) and keeps ``graph``'s digest sum, so when
+    ``graph`` has been digested (or is itself a successor) the successor's
+    digest costs only the re-hashed rows of the delta's endpoints, O(sum
+    of their degrees); a graph never digested makes the successor's digest
+    a full one.
     """
     successor = graph.copy()
     digest = apply_delta_in_place(successor, delta)

@@ -43,6 +43,18 @@ drops it, and pickling leaves it out.  :meth:`Graph.update_edges` moves a
 kept sum by subtracting the old rows of the vertices a batch of edge
 changes touches and adding their new rows, which costs O(sum of the
 touched vertices' degrees) instead of a pass over all m edges.
+
+Copy-on-write rows
+------------------
+:meth:`Graph.copy` shares its source's row sets instead of rebuilding them,
+so a copy costs one dict copy and a successor allocates only the rows its
+changes touch.  Each graph records which rows it owns: a graph from a
+constructor, :meth:`~Graph.subgraph`, :meth:`~Graph.relabel` or
+:meth:`~Graph.complement` owns all of them, as it does any vertex it adds
+later, and a copy leaves both graphs owning none.  Every mutator copies a
+row it does not own before its first write to it, so no write to one graph
+reaches another.  Shared rows keep their layout, so a copy iterates exactly
+like its source and a solve of either walks the same search tree.
 """
 
 from __future__ import annotations
@@ -111,7 +123,7 @@ class Graph:
     [0, 2]
     """
 
-    __slots__ = ("_adj", "_num_edges", "_digest_sum")
+    __slots__ = ("_adj", "_num_edges", "_digest_sum", "_owned")
 
     def __init__(
         self,
@@ -122,6 +134,9 @@ class Graph:
         self._num_edges: int = 0
         # Row sum behind content_digest() while the content is unchanged.
         self._digest_sum: Optional[int] = None
+        # Vertices whose row sets this graph may write in place; None means
+        # all of them.  Any other row may be shared with a copy.
+        self._owned: Optional[Set[Vertex]] = None
         if vertices is not None:
             for v in vertices:
                 self.add_vertex(v)
@@ -166,15 +181,34 @@ class Graph:
         return cls(vertices=range(n))
 
     def copy(self) -> "Graph":
-        """Return a deep copy of the graph (labels are shared, sets are not).
+        """Return an independent copy of the graph in O(n).
 
-        The copy keeps the digest sum, so it digests without a full pass.
+        The copy shares every row set with the source until one of the two
+        writes to it (see "Copy-on-write rows" in the module docstring), so
+        it keeps the source's row layout: it iterates its vertices and
+        neighbours in the same order.  It also keeps the digest sum, so it
+        digests without a full pass.
         """
         g = Graph.__new__(Graph)
-        g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
+        g._adj = dict(self._adj)
         g._num_edges = self._num_edges
         g._digest_sum = self._digest_sum
+        g._owned = set()
+        # The only write to the source: a fresh, empty ownership record, never
+        # an update of the old one, and no row is touched.  Concurrent copies
+        # of a graph that no thread mutates therefore stay safe: each reads
+        # the same rows and stores the same empty record.
+        self._owned = set()
         return g
+
+    def _own(self, vertex: Vertex) -> Set[Vertex]:
+        """``vertex``'s row, copied first if a copy may share it; writable."""
+        row = self._adj[vertex]
+        owned = self._owned
+        if owned is not None and vertex not in owned:
+            row = self._adj[vertex] = set(row)
+            owned.add(vertex)
+        return row
 
     # Pickles hold the content only: the same state layout as a graph pickled
     # before the digest sum existed, so snapshots load both ways.
@@ -186,6 +220,10 @@ class Graph:
         self._adj = slots["_adj"]
         self._num_edges = slots["_num_edges"]
         self._digest_sum = None
+        # One pickle memoizes a row set that two graphs share, so graphs
+        # unpickled together (a pickled GraphStore, copy.deepcopy of a graph
+        # and its copy) share it too: no unpickled row is owned.
+        self._owned = set()
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -274,6 +312,8 @@ class Graph:
         """Add ``vertex`` to the graph (no-op if already present)."""
         if vertex not in self._adj:
             self._adj[vertex] = set()
+            if self._owned is not None:
+                self._owned.add(vertex)
             self._digest_sum = None
 
     def add_vertices(self, vertices: Iterable[Vertex]) -> None:
@@ -294,7 +334,7 @@ class Graph:
         except KeyError:
             raise VertexNotFoundError(vertex) from None
         for u in nbrs:
-            self._adj[u].discard(vertex)
+            self._own(u).discard(vertex)
         self._num_edges -= len(nbrs)
         self._digest_sum = None
 
@@ -340,9 +380,13 @@ class Graph:
             raise SelfLoopError(u)
         self.add_vertex(u)
         self.add_vertex(v)
-        if v not in self._adj[u]:
-            self._adj[u].add(v)
-            self._adj[v].add(u)
+        adj = self._adj
+        if v not in adj[u]:
+            if self._owned is not None:  # one test while building, where all rows are owned
+                self._own(u)
+                self._own(v)
+            adj[u].add(v)
+            adj[v].add(u)
             self._num_edges += 1
             self._digest_sum = None
 
@@ -361,8 +405,8 @@ class Graph:
         """
         if u not in self._adj or v not in self._adj[u]:
             raise EdgeNotFoundError(u, v)
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
+        self._own(u).discard(v)
+        self._own(v).discard(u)
         self._num_edges -= 1
         self._digest_sum = None
 
@@ -405,8 +449,8 @@ class Graph:
             self._digest_sum = None  # until the new rows are in
         for u, v in removes:
             if v in adj[u]:
-                adj[u].discard(v)
-                adj[v].discard(u)
+                self._own(u).discard(v)
+                self._own(v).discard(u)
                 self._num_edges -= 1
         for u, v in adds:
             self.add_edge(u, v)
@@ -425,7 +469,11 @@ class Graph:
     # Neighbourhood queries
     # ------------------------------------------------------------------ #
     def neighbors(self, vertex: Vertex) -> Set[Vertex]:
-        """Return the set of neighbours of ``vertex`` (a live view; do not mutate).
+        """Return the set of neighbours of ``vertex`` (read-only; do not mutate).
+
+        The set is the graph's row, which a copy may share.  A view taken
+        before a write to the graph stops following it once that write
+        copied the row: take a fresh one after mutating.
 
         Raises
         ------
@@ -481,6 +529,7 @@ class Graph:
         g._adj = {v: self._adj[v] & keep for v in keep}
         g._num_edges = sum(len(nbrs) for nbrs in g._adj.values()) // 2
         g._digest_sum = None
+        g._owned = None
         return g
 
     def relabel(self) -> Tuple["Graph", Dict[Vertex, int], List[Vertex]]:
@@ -501,6 +550,7 @@ class Graph:
         }
         g._num_edges = self._num_edges
         g._digest_sum = None
+        g._owned = None
         return g, to_int, to_label
 
     def complement(self) -> "Graph":
@@ -606,9 +656,12 @@ class Graph:
 def rows_of(graph: Union[Graph, Rows]) -> Rows:
     """The adjacency rows of ``graph``, or ``graph`` itself when it already is rows.
 
-    A :class:`Graph`'s rows are its live internals: read them, never mutate
-    them (the edge count and the digest sum would go stale).  Rows taken
-    from a throwaway graph, such as the one :meth:`Graph.relabel` returns,
-    are the caller's to mutate once the graph is dropped.
+    A :class:`Graph`'s rows are its internals: read them, never mutate them
+    (the edge count and the digest sum would go stale, and a row may be
+    shared with a copy of the graph).  Like :meth:`Graph.neighbors`, a row
+    taken before a write to the graph stops following it once that write
+    copied the row.  Rows of a throwaway graph that owns all of them and was
+    never copied, such as the one :meth:`Graph.relabel` returns, are the
+    caller's to mutate once the graph is dropped.
     """
     return graph._adj if isinstance(graph, Graph) else graph

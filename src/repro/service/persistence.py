@@ -1,7 +1,7 @@
 """Durable on-disk state for the solver service: snapshots + journals.
 
 :class:`ServicePersistence` owns one *state directory* and gives the service
-three kinds of durable state, each with crash semantics chosen for its write
+four kinds of durable state, each with crash semantics chosen for its write
 pattern:
 
 ``graphs/<digest>.pkl`` and ``prepared/<token>.pkl``
@@ -28,12 +28,14 @@ pattern:
 ``deltas.wal``
     A **checksummed append-only journal** of edge-delta mutations (one
     pickled ``(parent_digest, child_digest, name, adds, removes)`` per
-    record, fsynced per append).  Replayed on startup by
-    :class:`~repro.service.store.GraphStore` to re-link the digest chain —
-    and to rebuild any successor graph whose own snapshot a crash cut off,
-    since the WAL is append-ordered and a whole chain re-materializes from
-    one surviving ancestor snapshot.  Same damaged-tail truncation policy
-    as ``results.wal``.
+    record, fsynced per append).  A successor is durable by its delta:
+    :class:`~repro.service.store.GraphStore` snapshots one only every
+    :data:`~repro.service.store.SNAPSHOT_INTERVAL` steps from its nearest
+    snapshotted ancestor.  Replayed on startup to re-link the digest chain
+    and to rebuild every successor without a snapshot of its own, since
+    the WAL is append-ordered and a whole chain re-materializes from one
+    surviving ancestor snapshot.  Same damaged-tail truncation policy as
+    ``results.wal``.
 
 Digests are computed, not trusted: :class:`~repro.service.store.GraphStore`
 re-digests every graph snapshot it restores.  A state directory written

@@ -20,12 +20,17 @@ growing without bound.  Evicting a graph also drops its prepared artifacts —
 they are unreachable once :meth:`get` no longer resolves the digest.
 
 Durability is optional and best-effort: with a
-:class:`~repro.service.persistence.ServicePersistence` attached, every new
+:class:`~repro.service.persistence.ServicePersistence` attached, every added
 graph and prepared artifact is snapshotted to disk after it lands in the
-in-memory cache, and construction restores whatever snapshots the state
-directory holds (counted in :meth:`stats` as ``restored_*``).  A restore
-re-digests every graph snapshot rather than trusting its filename, so a
-state directory written under an older digest format comes back under
+in-memory cache.  An edge-delta successor is durable by its delta alone, one
+fsynced ``deltas.wal`` record, and is snapshotted only once it lies
+:data:`SNAPSHOT_INTERVAL` steps from its nearest snapshotted ancestor, so a
+step costs what its delta touched and a restart replays at most that many
+deltas onto a snapshot.  Construction restores whatever the state directory
+holds: the snapshots, then every successor the delta WAL rebuilds, and only
+then applies ``max_graphs`` (counted in :meth:`stats` as ``restored_*``).  A
+restore re-digests every graph snapshot rather than trusting its filename,
+so a state directory written under an older digest format comes back under
 current digests, with its journals and prepared snapshots migrated
 (``migrated_digests`` in :meth:`stats`).  Persistence
 failures — full disk, bad permissions — log a warning and leave the store
@@ -62,6 +67,11 @@ __all__ = ["GraphStore"]
 
 logger = logging.getLogger("repro.service.store")
 
+#: A successor this many edge-delta steps from its nearest snapshotted
+#: ancestor is snapshotted; nearer ones are durable by their delta WAL record
+#: alone.  It bounds the deltas a restart replays onto one snapshot.
+SNAPSHOT_INTERVAL = 32
+
 #: Cache key of one prepared-artifact slot: the digest, ``k``, and the three
 #: prepare-relevant configuration knobs (everything else — backend, workers,
 #: budgets — is execute-side and shares the artifact).
@@ -84,7 +94,7 @@ class GraphStore:
     persistence:
         Optional :class:`~repro.service.persistence.ServicePersistence`;
         when given, construction restores its graph/prepared snapshots and
-        every later addition is snapshotted best-effort.
+        delta WAL, and every later addition is made durable best-effort.
     """
 
     def __init__(
@@ -111,6 +121,10 @@ class GraphStore:
         # intermediate snapshot has been LRU-evicted.
         self._parents: Dict[str, str] = {}
         self._deltas: Dict[str, EdgeDelta] = {}
+        # Steps from each stored graph to its nearest snapshotted ancestor;
+        # absent means 0 (a root, or a graph snapshotted since).  A failed
+        # snapshot leaves it in place, so the next successor retries.
+        self._since_snapshot: Dict[str, int] = {}
         self._prepares = 0
         self._prepared_hits = 0
         self._graph_evictions = 0
@@ -131,6 +145,10 @@ class GraphStore:
         current digests and never serves a graph under an old one; the
         on-disk state keyed by old digests is then migrated (see
         :meth:`~repro.service.persistence.ServicePersistence.migrate_digests`).
+
+        ``max_graphs`` applies only once the whole delta WAL has replayed: a
+        successor rebuilds from its parent, which an earlier eviction could
+        have dropped.  The cap then keeps the most recently mutated graphs.
         """
         try:
             with self._lock:
@@ -145,8 +163,8 @@ class GraphStore:
                     if name:
                         self._names[digest] = name
                     self._restored_graphs += 1
-                    self._evict_graphs_locked()
                 links = self._restore_deltas_locked(persistence, renamed)
+                self._evict_graphs_locked()
                 if renamed:
                     self._migrated_digests = len(renamed)
                     logger.warning("state directory holds %d graph(s) under an old digest "
@@ -174,15 +192,16 @@ class GraphStore:
     def _restore_deltas_locked(
         self, persistence: "ServicePersistence", renamed: Dict[str, str]
     ) -> List[Tuple[str, str, Optional[str], Tuple, Tuple]]:
-        """Replay the delta WAL: re-link the digest chain and rebuild any
-        successor whose own snapshot never made it to disk.
+        """Replay the delta WAL: re-link the digest chain and rebuild every
+        successor that has no snapshot of its own.
 
         The WAL is append-ordered, so a parent record always lands before
         its children — a whole chain re-materializes from one surviving
-        ancestor snapshot.  A record that does not replay cleanly (digest
-        mismatch, absent parent, invalid payload) is skipped with a warning;
-        a crash mid-mutation therefore degrades to serving the predecessor,
-        never to torn state.
+        ancestor snapshot.  Each rebuilt successor counts as a restored
+        graph and gets back its distance from that snapshot.  A record that
+        does not replay cleanly (digest mismatch, absent parent, invalid
+        payload) is skipped with a warning; a crash mid-mutation therefore
+        degrades to serving the predecessor, never to torn state.
 
         ``renamed`` maps old-format digests to current ones.  Records are
         read through it, and a successor rebuilt from a renamed parent joins
@@ -230,7 +249,8 @@ class GraphStore:
                 self._graphs[child] = successor
                 if name:
                     self._names[child] = name
-                self._evict_graphs_locked()
+                self._restored_graphs += 1
+                self._since_snapshot[child] = self._since_snapshot.get(parent, 0) + 1
             else:
                 # Snapshots restore in filesystem order; the WAL holds the
                 # true mutation order.  Re-touch each child as it replays so
@@ -277,6 +297,11 @@ class GraphStore:
             except Exception:
                 logger.warning("persisting graph %s failed; kept in memory only",
                                digest[:12], exc_info=True)
+                with self._lock:
+                    if digest in self._graphs:
+                        # No snapshot to replay from: its first successor
+                        # takes one instead.
+                        self._since_snapshot[digest] = SNAPSHOT_INTERVAL
         return digest
 
     def _evict_graphs_locked(self) -> None:
@@ -285,6 +310,7 @@ class GraphStore:
         while len(self._graphs) > self.max_graphs:
             evicted, _ = self._graphs.popitem(last=False)
             self._names.pop(evicted, None)
+            self._since_snapshot.pop(evicted, None)
             self._graph_evictions += 1
             # Prepared artifacts of an evicted graph are unreachable through
             # the public surface (get() fails first); free them too.
@@ -345,14 +371,16 @@ class GraphStore:
 
         The successor is stored as a first-class graph under its own content
         digest, derived from the predecessor's in O(sum of the touched
-        vertices' degrees), with a ``parent_digest`` link back to it, and
-        the delta is WAL-journaled through the attached persistence (if any)
-        so a ``--state-dir`` restart keeps the digest chain.  The
-        predecessor stays untouched and servable: mutation is copy-on-write,
-        and everything observable — in-memory publish included — happens
-        only after the successor is fully built, so a crash mid-mutation
-        (exercised via the ``dynamic.apply`` chaos point) leaves the store
-        exactly as it was.
+        vertices' degrees), with a ``parent_digest`` link back to it.  It
+        shares its untouched rows with the predecessor (see
+        :meth:`Graph.copy <repro.graphs.graph.Graph.copy>`), which stays
+        untouched and servable.  With persistence attached, the delta is
+        WAL-journaled so a ``--state-dir`` restart rebuilds the successor
+        and keeps the digest chain, and the successor is also snapshotted
+        once it is :data:`SNAPSHOT_INTERVAL` steps from its nearest
+        snapshotted ancestor.  Everything observable happens only after the
+        successor is fully built, so a crash mid-mutation (exercised via the
+        ``dynamic.apply`` chaos point) leaves the store exactly as it was.
 
         With ``max_prepared`` set, the predecessor's prepared artifacts are
         dropped eagerly — a mutated-away snapshot is the coldest thing in
@@ -362,6 +390,7 @@ class GraphStore:
             source = self._graphs.get(digest)
             if source is not None:
                 self._graphs.move_to_end(digest)
+                steps = self._since_snapshot.get(digest, 0) + 1
         if source is None:
             raise UnknownGraphError(digest)
         # The store's graphs are never mutated in place, so reading `source`
@@ -369,11 +398,25 @@ class GraphStore:
         successor, succ_digest = _apply_edge_delta(source, delta)
         faults.fire("dynamic.apply", digest=digest, child=succ_digest,
                     adds=len(delta.adds), removes=len(delta.removes))
+        if self._persistence is not None:
+            # The fsynced WAL record is the successor's durability point.  It
+            # lands before the successor is published, so no mutation of the
+            # successor can be journaled ahead of it and a replay always
+            # meets a parent before its children.  Outside the lock, like
+            # add()'s snapshot: a slow disk must not serialise the store.
+            try:
+                self._persistence.append_delta(digest, succ_digest, name, delta)
+            except Exception:
+                logger.warning("journaling delta %s -> %s failed; snapshotting the successor",
+                               digest[:12], succ_digest[:12], exc_info=True)
+                steps = SNAPSHOT_INTERVAL
         with self._lock:
             if succ_digest not in self._graphs:
                 self._graphs[succ_digest] = successor
+                self._since_snapshot[succ_digest] = steps
             else:
                 self._graphs.move_to_end(succ_digest)
+            snapshot_due = self._since_snapshot.get(succ_digest, 0) >= SNAPSHOT_INTERVAL
             if name is not None:
                 self._names[succ_digest] = name
             self._parents[succ_digest] = digest
@@ -384,17 +427,17 @@ class GraphStore:
                     del self._prepared[key]
                     self._prepared_evictions += 1
             self._evict_graphs_locked()
-        if self._persistence is not None:
-            # Outside the lock, same policy as add(): durability is
-            # best-effort and must not serialise the store behind a slow
-            # disk.  Snapshot first, then the WAL link — a replay needs the
-            # parent snapshot (or its own chain) either way.
+        if snapshot_due and self._persistence is not None:
+            # Bounds the replay a restart needs.  A failure keeps the
+            # distance, so the next successor tries again.
             try:
                 self._persistence.save_graph(succ_digest, name, successor)
-                self._persistence.append_delta(digest, succ_digest, name, delta)
             except Exception:
-                logger.warning("persisting delta %s -> %s failed; kept in memory only",
-                               digest[:12], succ_digest[:12], exc_info=True)
+                logger.warning("snapshotting successor %s failed; the next successor retries",
+                               succ_digest[:12], exc_info=True)
+            else:
+                with self._lock:
+                    self._since_snapshot.pop(succ_digest, None)
         return succ_digest
 
     def parent_digest(self, digest: str) -> Optional[str]:
@@ -555,6 +598,7 @@ class GraphStore:
         self._inflight = {}
         self._parents = dict(state.get("parents", {}))
         self._deltas = dict(state.get("deltas", {}))
+        self._since_snapshot = {}
         self._prepares = state["prepares"]
         self._prepared_hits = state["prepared_hits"]
         self._graph_evictions = state["graph_evictions"]

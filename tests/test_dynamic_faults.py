@@ -11,7 +11,10 @@ at the two dynamic fault points and asserts the crash-safety contract:
   dependency);
 * ``checkpoint.append`` — a killed incremental re-solve resumes from its
   carry-over checkpoint: the retry skips every journaled anchor instead of
-  restarting, and still answers exactly.
+  restarting, and still answers exactly;
+* ``persist.write`` — a successor's periodic snapshot fails: the mutation
+  still succeeds on its delta WAL record, the next successor takes the
+  snapshot instead, and a restart restores the chain tip.
 
 Both faults strike after the delta went into the epoch's relabeled graph in
 place, so they also pin the undo: a later, different delta is answered
@@ -20,12 +23,15 @@ against the predecessor, not against a graph still carrying the failed one.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core import KDCSolver, SolverConfig
 from repro.dynamic import EdgeDelta, IncrementalSolver, apply_delta
 from repro.graphs import gnp_random_graph
 from repro.service import Client, GraphStore, ServicePersistence, SolverService
+from repro.service.store import SNAPSHOT_INTERVAL
 from repro.testing import FaultInjector, InjectedFaultError
 from repro.testing import chaos
 
@@ -107,6 +113,62 @@ class TestDynamicApplyFault:
             assert client.ping()
             reply = client.mutate("g", adds=absent_edges(graph, 1))
             assert reply["ok"]
+
+
+class TestSnapshotFault:
+    def test_failed_periodic_snapshot_is_retried_by_next_successor(self, graph, state_dir):
+        persistence = ServicePersistence(state_dir)
+        store = GraphStore(persistence=persistence)
+        digest = store.add(graph, name="g")
+        current, chain = graph, []
+        for step in range(1, SNAPSHOT_INTERVAL + 2):
+            delta = EdgeDelta(adds=absent_edges(current, 1))
+            if step == SNAPSHOT_INTERVAL:  # the first periodic snapshot fails
+                with FaultInjector().add("persist.write", error="disk full") as injector:
+                    digest = store.apply_delta(digest, delta, name="g")
+                assert [p for p, _ in injector.fired] == ["persist.write"]
+            else:
+                digest = store.apply_delta(digest, delta, name="g")
+            current, _ = apply_delta(current, delta)
+            chain.append(digest)
+        assert store.stats()["mutations"] == SNAPSHOT_INTERVAL + 1
+        snapshotted = [os.path.exists(persistence._graph_path(d)) for d in chain]
+        assert snapshotted == [False] * SNAPSHOT_INTERVAL + [True]
+        persistence.close()
+
+        restored = GraphStore(persistence=ServicePersistence(state_dir))
+        assert restored.resolve("g") == digest
+        assert restored.get(digest) == current
+        assert restored.stats()["restored_graphs"] == SNAPSHOT_INTERVAL + 2
+
+    def test_root_without_snapshot_hands_it_to_first_successor(self, graph, state_dir):
+        persistence = ServicePersistence(state_dir)
+        store = GraphStore(persistence=persistence)
+        with FaultInjector().add("persist.write", error="disk full") as injector:
+            root = store.add(graph, name="g")
+        assert injector.fired
+        child = store.apply_delta(root, EdgeDelta(adds=absent_edges(graph, 1)), name="g")
+        assert os.path.exists(persistence._graph_path(child))
+        persistence.close()
+
+        restored = GraphStore(persistence=ServicePersistence(state_dir))
+        assert restored.resolve("g") == child and root not in restored
+
+    def test_unjournaled_successor_is_snapshotted(self, graph, state_dir, monkeypatch):
+        persistence = ServicePersistence(state_dir)
+        store = GraphStore(persistence=persistence)
+        root = store.add(graph)
+
+        def full_disk(*_args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(persistence, "append_delta", full_disk)
+        child = store.apply_delta(root, EdgeDelta(adds=absent_edges(graph, 1)))
+        assert os.path.exists(persistence._graph_path(child))
+        persistence.close()
+
+        restored = GraphStore(persistence=ServicePersistence(state_dir))
+        assert restored.get(child).content_digest() == child
 
 
 class TestDynamicResolveFault:

@@ -55,6 +55,17 @@ def valid_delta(graph, adds=1, removes=0):
     return EdgeDelta(adds=add_edges, removes=remove_edges)
 
 
+def mutate_chain(store, digest, graph, steps, name=None):
+    """Apply ``steps`` one-edge deltas from ``digest``; return the successor digests."""
+    digests = []
+    for _ in range(steps):
+        delta = valid_delta(graph)
+        digest = store.apply_delta(digest, delta, name=name)
+        graph, _ = apply_delta(graph, delta)
+        digests.append(digest)
+    return digests
+
+
 # --------------------------------------------------------------------------- #
 # GraphStore digest chain
 # --------------------------------------------------------------------------- #
@@ -318,6 +329,53 @@ class TestDeltaPersistence:
         assert [d for d, _ in chain] == digests[1:]
         assert restored.resolve("g") == digests[-1]
 
+    def test_restart_counts_every_restored_graph(self, state_dir, graph):
+        store = GraphStore(persistence=ServicePersistence(state_dir))
+        digests = [store.add(graph, name="g")]
+        digests += mutate_chain(store, digests[0], graph, 40, name="g")
+        store._persistence.close()
+
+        # snapshots and successors rebuilt from the WAL alike
+        restored = GraphStore(persistence=ServicePersistence(state_dir))
+        stats = restored.stats()
+        assert stats["restored_graphs"] == 41 and stats["restored_deltas"] == 40
+        assert set(restored.graphs()) == set(digests)
+        assert all(restored.get(d).content_digest() == d for d in digests)
+        assert restored.resolve("g") == digests[-1]
+
+    def test_restart_resumes_the_snapshot_cadence(self, state_dir, graph):
+        import os
+
+        from repro.service.store import SNAPSHOT_INTERVAL
+
+        store = GraphStore(persistence=ServicePersistence(state_dir))
+        tip = mutate_chain(store, store.add(graph), graph, 20)[-1]
+        store._persistence.close()
+
+        persistence = ServicePersistence(state_dir)
+        restored = GraphStore(persistence=persistence)
+        later = mutate_chain(restored, tip, restored.get(tip), SNAPSHOT_INTERVAL - 20)
+        snapshotted = [os.path.exists(persistence._graph_path(d)) for d in later]
+        assert snapshotted == [False] * (SNAPSHOT_INTERVAL - 21) + [True]
+
+    def test_capped_restart_keeps_both_chain_tips(self, state_dir, graph):
+        other = gnp_random_graph(40, 0.15, seed=13)
+        store = GraphStore(persistence=ServicePersistence(state_dir))
+        tips = {"a": store.add(graph, name="a"), "b": store.add(other, name="b")}
+        current = {"a": graph, "b": other}
+        for _ in range(40):  # interleaved, past the snapshot interval
+            for name in ("a", "b"):
+                delta = valid_delta(current[name])
+                tips[name] = store.apply_delta(tips[name], delta, name=name)
+                current[name], _ = apply_delta(current[name], delta)
+        store._persistence.close()
+
+        restored = GraphStore(max_graphs=2, persistence=ServicePersistence(state_dir))
+        assert len(restored) == 2
+        for name in ("a", "b"):
+            assert restored.resolve(name) == tips[name]
+            assert restored.get(tips[name]) == current[name]
+
     def test_restart_rebuilds_missing_snapshot_from_wal(self, state_dir, graph):
         import os
 
@@ -327,8 +385,10 @@ class TestDeltaPersistence:
         delta = valid_delta(graph)
         child = store.apply_delta(root, delta)
         persistence.close()
-        # lose the successor's snapshot; the WAL must rebuild it from the parent
-        os.remove(persistence._graph_path(child))
+        # a successor this near its root is durable by its delta alone: no
+        # snapshot of its own, so the WAL must rebuild it from the parent
+        assert os.path.exists(persistence._graph_path(root))
+        assert not os.path.exists(persistence._graph_path(child))
 
         restored = GraphStore(persistence=ServicePersistence(state_dir))
         assert child in restored

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import EdgeNotFoundError, GraphError, SelfLoopError, VertexNotFoundError
 from repro.graphs import Graph, complete_graph
+
+VERTICES = st.integers(0, 7)
+EDGES = st.tuples(VERTICES, VERTICES).filter(lambda e: e[0] != e[1])
 
 
 class TestConstruction:
@@ -78,14 +83,66 @@ class TestConstruction:
             hash(Graph())
 
     def test_copy_deep_copies_isolated_vertex_adjacency(self):
-        # regression: the copy must not share adjacency sets even for
-        # vertices that have no neighbours at copy time
+        # regression: a write to a row shared at copy time never reaches the
+        # source, even for vertices that have no neighbours at copy time
         g = Graph(vertices=[0, 1])
         h = g.copy()
         h.add_edge(0, 1)
         assert h.has_edge(0, 1)
         assert not g.has_edge(0, 1)
         assert g.degree(0) == 0 and g.degree(1) == 0
+
+
+class TestCopyOnWriteIsolation:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_no_write_reaches_another_graph(self, data):
+        """Copies share rows until a write: random interleavings of copies and
+        mutators over graphs copied from one another keep each graph equal
+        to its own edge-set model, valid, and digesting like a fresh build."""
+        first = data.draw(st.lists(EDGES, max_size=12))
+        graphs = [Graph(edges=first, vertices=[0])]
+        models = [({0, *(v for e in first for v in e)}, {frozenset(e) for e in first})]
+        for _ in range(data.draw(st.integers(1, 25))):
+            i = data.draw(st.integers(0, len(graphs) - 1))
+            graph, (vertices, edges) = graphs[i], models[i]
+            present = sorted(tuple(sorted(e)) for e in edges)
+            op = data.draw(st.sampled_from(
+                ["copy", "add_vertex", "add_edge", "remove_edge", "remove_vertex", "update_edges"]
+            ))
+            if op == "copy":
+                graphs.append(graph.copy())
+                models.append((set(vertices), set(edges)))
+            elif op == "add_vertex":
+                v = data.draw(VERTICES)
+                graph.add_vertex(v)
+                vertices.add(v)
+            elif op == "add_edge":
+                u, v = data.draw(EDGES)
+                graph.add_edge(u, v)
+                vertices.update((u, v))
+                edges.add(frozenset((u, v)))
+            elif op == "remove_edge" and present:
+                u, v = data.draw(st.sampled_from(present))
+                graph.remove_edge(u, v)
+                edges.discard(frozenset((u, v)))
+            elif op == "remove_vertex" and vertices:
+                v = data.draw(st.sampled_from(sorted(vertices)))
+                graph.remove_vertex(v)
+                vertices.discard(v)
+                edges -= {e for e in edges if v in e}
+            elif op == "update_edges":
+                removes = data.draw(st.lists(st.sampled_from(present), unique=True)) if present else []
+                adds = data.draw(st.lists(EDGES, max_size=3))
+                graph.update_edges(adds=adds, removes=removes)
+                edges -= {frozenset(e) for e in removes}
+                edges |= {frozenset(e) for e in adds}
+                vertices.update(v for e in adds for v in e)
+            for graph, (vertices, edges) in zip(graphs, models):
+                fresh = Graph(edges=[tuple(e) for e in edges], vertices=vertices)
+                assert graph == fresh
+                graph.validate()
+                assert graph.content_digest() == fresh.content_digest()
 
 
 class TestContentDigest:

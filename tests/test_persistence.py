@@ -11,6 +11,7 @@ upgrade of a state directory written under the previous digest format.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import logging
 import os
@@ -269,6 +270,27 @@ class TestGraphStorePickle:
         other = gnp_random_graph(10, 0.5, seed=9)
         clone.add(other)
         assert clone.stats()["graphs"] == 2
+
+    def test_unpickled_graphs_share_no_writable_rows(self, graph):
+        # One pickle memoizes the rows a successor shares with its parent,
+        # so the unpickled graphs share them too; a write to one must not
+        # reach the other.
+        store = GraphStore()
+        root = store.add(graph)
+        delta = EdgeDelta(adds=[next((0, v) for v in range(1, 40) if not graph.has_edge(0, v))])
+        child = store.apply_delta(root, delta)
+        u, v = next((u, v) for u, v in graph.iter_edges() if not {u, v} & {0, delta.adds[0][1]})
+        expected, _ = apply_delta(graph, delta)
+
+        clone = pickle.loads(pickle.dumps(store))
+        clone.get(root).remove_edge(u, v)
+        assert clone.get(child) == expected
+        assert clone.get(child).content_digest() == child
+
+        source_clone, copy_clone = copy.deepcopy([graph, graph.copy()])
+        source_clone.remove_edge(u, v)
+        assert copy_clone == graph
+        assert copy_clone.content_digest() == root
 
     def test_pickle_excludes_live_state(self, graph):
         store = GraphStore(persistence=None)
