@@ -9,8 +9,9 @@ the *shape* of the results:
 * **trends** — do the Table 5/7 quantities grow with k, and do the Table 4
   ratios sit on the same side of 1.0 as the paper's?
 
-:func:`compare_table2_shape` and friends return structured verdicts that
-``EXPERIMENTS.md`` and the benchmark assertions are built on.
+:func:`compare_table2_shape` and friends return structured verdicts, which
+``repro experiments table2`` prints under the table; the README's benchmark
+table names the test that checks each table's claims.
 """
 
 from __future__ import annotations

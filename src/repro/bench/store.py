@@ -142,8 +142,8 @@ def _git_sha() -> str:
 def split_record(record: Dict[str, object]) -> Tuple[Dict[str, object], Dict[str, object], Dict[str, object]]:
     """Split one flat measurement row into (keyfields, resultfields, extra).
 
-    The flat shape is what :class:`benchmarks._bench_utils.BenchRecorder` and
-    :meth:`~repro.bench.harness.InstanceRecord.as_dict` produce; anything the
+    The flat shape is what :meth:`~repro.bench.harness.InstanceRecord.as_dict`
+    produces (``experiments run`` records its cells through it); anything the
     schema does not model lands in ``extra`` so no measurement is dropped.
     """
     keyfields: Dict[str, object] = {}

@@ -3,10 +3,9 @@
 The paper evaluates on three collections — 139 "real-world graphs", 114
 Facebook social networks, and 37 DIMACS10&SNAP graphs — none of which can be
 downloaded in this offline environment, and none of which would be tractable
-for a pure-Python exact solver at their original sizes.  Following the
-substitution rule documented in ``DESIGN.md``, this module generates three
-synthetic collections whose qualitative structure matches what the kDC
-algorithm exploits:
+for a pure-Python exact solver at their original sizes.  In their place
+this module generates three synthetic collections whose qualitative
+structure matches what the kDC algorithm exploits:
 
 * ``real_world_like`` — power-law / preferential-attachment graphs with
   varied density plus a few planted near-cliques (mirrors the heterogeneous

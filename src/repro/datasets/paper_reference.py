@@ -1,10 +1,10 @@
 """Published results of the paper, embedded as data.
 
 These are the numbers reported in the paper's evaluation (Section 4) — the
-ground truth this reproduction is compared against in ``EXPERIMENTS.md`` and
-in the benchmark assertions.  Only the headline tables are embedded; the
-per-graph Table 3 timings are summarised by the average speedup factors the
-paper quotes in the text.
+ground truth :mod:`repro.bench.comparison` compares a reproduced Table 2
+against (``repro experiments table2`` prints the verdicts).  Only the
+headline tables are embedded; the per-graph Table 3 timings are summarised
+by the average speedup factors the paper quotes in the text.
 
 The collection keys use the paper's names (``real_world``, ``facebook``,
 ``dimacs_snap``); the reproduction's synthetic stand-ins use the ``*_like``

@@ -201,6 +201,11 @@ class Graph:
         self._owned = set()
         return g
 
+    # copy.copy would otherwise rebuild the graph from __getstate__, which
+    # hands over the source's row dict itself, so every write reaches both.
+    def __copy__(self) -> "Graph":
+        return self.copy()
+
     def _own(self, vertex: Vertex) -> Set[Vertex]:
         """``vertex``'s row, copied first if a copy may share it; writable."""
         row = self._adj[vertex]

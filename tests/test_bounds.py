@@ -15,11 +15,19 @@ from repro.core.bounds import (
     ub2_min_degree,
     ub3_degree_sequence,
 )
+from repro.datasets import all_collections
 from repro.graphs import Graph, complete_graph, complete_multipartite_graph, gnp_random_graph
 
 
 def _adjacency(graph):
     return [set(graph.neighbors(v)) for v in range(graph.num_vertices)]
+
+
+def _ub1_gaps(state):
+    """How far Eq. (2) and UB3 sit above UB1 on ``state`` (one shared coloring)."""
+    classes = color_candidates(state)
+    ub1 = ub1_improved_coloring(state, classes)
+    return eq2_original_coloring(state, classes) - ub1, ub3_degree_sequence(state) - ub1
 
 
 def _figure5_state(k: int = 3) -> SearchState:
@@ -132,11 +140,19 @@ class TestSoundnessProperties:
     def test_ub1_no_looser_than_eq2_and_ub3(self, n, p, seed, k):
         """UB1 is tighter than both the Eq. (2) coloring bound and UB3 (paper Section 3.2.1)."""
         g = gnp_random_graph(n, p, seed=seed)
-        state = SearchState.initial(_adjacency(g), k=k)
-        classes = color_candidates(state)
-        ub1 = ub1_improved_coloring(state, classes)
-        assert ub1 <= eq2_original_coloring(state, classes)
-        assert ub1 <= ub3_degree_sequence(state)
+        gap_eq2, gap_ub3 = _ub1_gaps(SearchState.initial(_adjacency(g), k=k))
+        assert gap_eq2 >= 0 and gap_ub3 >= 0
+
+    def test_ub1_no_looser_at_the_collection_roots(self):
+        """The same check at the root of every tiny collection instance (k = 3),
+        where UB1 must also beat Eq. (2) strictly at least once."""
+        gaps = []
+        for instances in all_collections(scale="tiny").values():
+            for inst in instances:
+                relabeled, _, _ = inst.graph.relabel()
+                gaps.append(_ub1_gaps(SearchState.initial(_adjacency(relabeled), k=3)))
+        assert all(gap_eq2 >= 0 and gap_ub3 >= 0 for gap_eq2, gap_ub3 in gaps)
+        assert any(gap_eq2 > 0 for gap_eq2, _ in gaps)
 
     @given(st.integers(min_value=2, max_value=10), st.floats(min_value=0.2, max_value=0.9),
            st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=3))

@@ -59,6 +59,16 @@ class TestParser:
         assert args.name == "export"
         assert args.run == 2
 
+    def test_time_limit_offered_only_to_experiments_that_search(self, capsys):
+        """Table 4 only prepares, so ``--time-limit`` is an argparse error
+        (exit 2), not a TypeError from ``table4()``."""
+        args = build_parser().parse_args(["experiments", "table5", "--time-limit", "1"])
+        assert args.time_limit == 1.0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiments", "table4", "--time-limit", "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --time-limit" in capsys.readouterr().err
+
     def test_experiments_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiments"])
@@ -120,6 +130,16 @@ class TestCommands:
     def test_experiments_table4(self, capsys):
         assert main(["experiments", "table4", "--scale", "tiny"]) == 0
         assert "Table 4" in capsys.readouterr().out
+
+    def test_experiments_table2_prints_shape_verdicts(self, capsys):
+        assert main(["experiments", "table2", "--time-limit", "0.05"]) == 0
+        out = capsys.readouterr().out
+        table, _, verdicts = out.partition("Shape against the paper's Table 2:")
+        assert "Table 2" in table
+        lines = verdicts.strip().splitlines()
+        assert all(line.startswith(("[OK ] ", "[DIFF] ")) for line in lines)
+        # one ordering verdict per collection and default k
+        assert sum(" ordering: " in line for line in lines) == 3 * 4
 
     def test_compare(self, clique_file, capsys):
         assert main(["compare", clique_file, "-k", "1", "--algorithms", "kDC", "MADEC"]) == 0

@@ -377,3 +377,66 @@ class TestIncrementalSolverDifferential:
     def test_invalid_max_affected_fraction(self):
         with pytest.raises(InvalidParameterError):
             IncrementalSolver(SolverConfig(), max_affected_fraction=1.5)
+
+
+def delta_stream(graph, rng, steps, delta_size, add_fraction=0.7):
+    """``steps`` valid deltas of ``delta_size`` edges each against the evolving
+    graph: each edge is an add with probability ``add_fraction``, else a remove."""
+    working = graph.copy()
+    deltas = []
+    vertices = sorted(working.vertex_set())
+    for _ in range(steps):
+        adds, removes = set(), set()
+        while len(adds) + len(removes) < delta_size:
+            if rng.random() < add_fraction or working.num_edges <= delta_size:
+                u, v = rng.sample(vertices, 2)
+                edge = (min(u, v), max(u, v))
+                if not working.has_edge(u, v) and edge not in adds:
+                    adds.add(edge)
+            else:
+                edge = tuple(sorted(rng.choice(list(working.iter_edges()))))
+                if edge not in removes and edge not in adds:
+                    removes.add(edge)
+        delta = EdgeDelta(adds=sorted(adds), removes=sorted(removes))
+        for u, v in delta.removes:
+            working.remove_edge(u, v)
+        for u, v in delta.adds:
+            working.add_edge(u, v)
+        deltas.append(delta)
+    return deltas
+
+
+def resolved_fractions(graph, k, deltas):
+    """Drive one stream, asserting every step equals a from-scratch solve;
+    returns the re-solved anchor fraction of each incremental step."""
+    tracker = IncrementalSolver(SolverConfig())
+    scratch = KDCSolver(SolverConfig())
+    tracker.solve(graph, k)
+    fractions = []
+    for step, delta in enumerate(deltas):
+        report = tracker.apply(delta)
+        reference = scratch.solve(tracker.graph(), k)
+        assert report.result.optimal and reference.optimal
+        assert report.result.size == reference.size, f"step {step}"
+        if report.incremental:
+            fractions.append(report.anchors_resolved / max(1, report.anchors_total))
+    return fractions
+
+
+class TestDeltaStreams:
+    """Seeded G(n, p) streams with a 70/30 add/remove mix, against scratch."""
+
+    def test_single_edge_stream_resolves_a_small_fraction(self):
+        """1,000 vertices under 50 one-edge deltas: exact at every step, and
+        the mean share of anchors re-solved stays under 30% (about 0.5%)."""
+        graph = gnp_random_graph(1000, 0.008, seed=42)
+        deltas = delta_stream(graph, random.Random(42), steps=50, delta_size=1)
+        fractions = resolved_fractions(graph, 1, deltas)
+        assert fractions, "no step was incremental"
+        assert sum(fractions) / len(fractions) < 0.30
+
+    @pytest.mark.parametrize("delta_size", [1, 4, 16])
+    def test_larger_deltas_stay_exact(self, delta_size):
+        graph = gnp_random_graph(600, 0.012, seed=100 + delta_size)
+        rng = random.Random(100 + delta_size)
+        resolved_fractions(graph, 1, delta_stream(graph, rng, steps=12, delta_size=delta_size))

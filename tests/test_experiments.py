@@ -1,8 +1,9 @@
-"""Smoke tests for the experiment drivers (one per table/figure of the paper).
+"""Tests for the experiment functions (one per table/figure of the paper).
 
-The drivers are exercised at the ``tiny`` scale with few k values and short
-time limits so the whole file stays fast; the full-scale runs live in the
-``benchmarks/`` directory.
+The smoke tests run them at the ``tiny`` scale with few k values so they
+stay fast.  ``TestPaperClaims`` (slow tier) runs each one as ``repro
+experiments NAME`` would at ``--time-limit 2``, over its default k values,
+and checks the claim of the paper that its table or figure carries.
 """
 
 from __future__ import annotations
@@ -107,3 +108,90 @@ class TestRegistry:
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
             run_experiment("table99")
+
+
+#: The slow tier's per-instance budget (seconds), as ``--time-limit 2``.
+TIME_LIMIT = 2.0
+SEARCH_ALGORITHMS = ("kDC", "kDC/RR3&4", "kDC/UB1", "kDC-Degen", "KDBB")
+COLLECTIONS = ("real_world_like", "facebook_like", "dimacs_snap_like")
+
+
+@pytest.mark.slow
+class TestPaperClaims:
+    """Each table and figure at tiny scale, checked against the claim it makes."""
+
+    def test_table2_kdc_solves_no_fewer_than_the_baselines(self):
+        k_values = (1, 2, 3, 5)
+        result = table2(
+            scale="tiny", k_values=k_values, time_limit=TIME_LIMIT,
+            algorithms=("kDC", "KDBB", "MADEC"),
+        )
+        assert set(result.data) == set(COLLECTIONS)
+        for collection, solved in result.data.items():
+            for k in k_values:
+                assert solved["kDC"][k] >= solved["MADEC"][k], (collection, k)
+                assert solved["kDC"][k] >= solved["KDBB"][k] - 1, (collection, k)
+
+    def test_table3_kdc_solves_what_kdc_degen_solves(self):
+        result = table3(
+            scale="tiny", k_values=(1, 3), time_limit=TIME_LIMIT,
+            algorithms=SEARCH_ALGORITHMS, top_fraction=0.5,
+        )
+        solved_by = {algorithm: set() for algorithm in SEARCH_ALGORITHMS}
+        for record in result.records:
+            if record.solved:
+                solved_by[record.algorithm].add((record.instance, record.k))
+        assert len(solved_by["kDC"]) >= len(solved_by["kDC-Degen"])
+
+    def test_table4_ratio_sides(self):
+        result = table4(scale="tiny", k_values=(1, 2, 3, 5))
+        assert result.data
+        for key, values in result.data.items():
+            assert values["initial_solution_ratio"] >= 1.0, key
+            assert values["reduced_vertices_ratio"] <= 1.0 + 1e-9, key
+            assert values["reduced_edges_ratio"] <= 1.0 + 1e-9, key
+
+    def test_table5_ratios_grow_with_k(self):
+        result = table5(scale="tiny", k_values=(1, 2, 3, 5), time_limit=TIME_LIMIT)
+        for key, agg in result.data.items():
+            if agg["count"]:
+                assert agg["avg_ratio"] >= 1.0, key
+                assert agg["max_ratio"] >= agg["avg_ratio"] - 1e-9, key
+        for collection in COLLECTIONS:
+            low, high = result.data[f"{collection}/k=1"], result.data[f"{collection}/k=5"]
+            if low["count"] and high["count"]:
+                assert high["avg_ratio"] >= low["avg_ratio"] - 1e-9, collection
+
+    def test_table6_most_k1_solutions_extend_a_maximum_clique(self):
+        result = table6(scale="tiny", k_values=(1, 2, 3, 5), time_limit=TIME_LIMIT)
+        for key, agg in result.data.items():
+            assert 0 <= agg["num_extending_max_clique"] <= agg["count"], key
+        for collection in COLLECTIONS:
+            agg = result.data[f"{collection}/k=1"]
+            if agg["count"]:
+                assert agg["num_extending_max_clique"] >= agg["count"] / 2, collection
+
+    def test_table7_missing_neighbour_share_grows_with_k(self):
+        result = table7(scale="tiny", k_values=(1, 2, 3, 5), time_limit=TIME_LIMIT)
+        for key, agg in result.data.items():
+            assert 0.0 <= agg["avg_pct_not_fully_connected"] <= 100.0, key
+        for collection in COLLECTIONS:
+            low, high = result.data[f"{collection}/k=1"], result.data[f"{collection}/k=5"]
+            if low["count"] and high["count"]:
+                assert (
+                    high["avg_pct_not_fully_connected"]
+                    >= low["avg_pct_not_fully_connected"] - 1e-9
+                ), collection
+
+    @pytest.mark.parametrize("figure", [figure7, figure8])
+    def test_figures_solved_counts_grow_with_the_limit(self, figure):
+        limits = (0.1, 0.4, 1.0, TIME_LIMIT)
+        result = figure(
+            scale="tiny", k_values=(1, 3), time_limits=limits, algorithms=SEARCH_ALGORITHMS
+        )
+        for k in (1, 3):
+            curves = [result.data[f"k={k}/limit={limit}"] for limit in limits]
+            for algorithm in SEARCH_ALGORITHMS:
+                counts = [curve[algorithm] for curve in curves]
+                assert counts == sorted(counts), (k, algorithm, counts)
+            assert curves[-1]["kDC"] >= curves[-1]["KDBB"] - 1, k

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,10 +110,11 @@ class TestCopyOnWriteIsolation:
             graph, (vertices, edges) = graphs[i], models[i]
             present = sorted(tuple(sorted(e)) for e in edges)
             op = data.draw(st.sampled_from(
-                ["copy", "add_vertex", "add_edge", "remove_edge", "remove_vertex", "update_edges"]
+                ["copy", "copy.copy", "add_vertex", "add_edge", "remove_edge", "remove_vertex",
+                 "update_edges"]
             ))
-            if op == "copy":
-                graphs.append(graph.copy())
+            if op in ("copy", "copy.copy"):
+                graphs.append(graph.copy() if op == "copy" else copy.copy(graph))
                 models.append((set(vertices), set(edges)))
             elif op == "add_vertex":
                 v = data.draw(VERTICES)

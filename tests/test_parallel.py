@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -280,3 +281,25 @@ class TestWiring:
     def test_workers_config_survives_variant_replace(self):
         config = replace(SolverConfig(), workers=3)
         assert config.workers == 3
+
+
+class TestScaling:
+    @pytest.mark.slow
+    def test_four_workers_speed_up_a_decomposed_solve(self):
+        """G(400, .1) at k = 3 with 1, 2 and 4 workers: one size, the pool and
+        the decomposition engaged at every count, and at least 1.5x at four
+        workers wherever four CPUs exist to run them."""
+        graph = gnp_random_graph(400, 0.1, seed=2)
+        sizes, elapsed = {}, {}
+        for workers in (1, 2, 4):
+            config = SolverConfig(backend="bitset", workers=workers, time_limit=600.0)
+            start = time.perf_counter()
+            result = KDCSolver(config).solve(graph, 3)
+            elapsed[workers] = time.perf_counter() - start
+            assert result.optimal
+            assert result.stats.workers == workers
+            assert result.stats.subproblems > 0
+            sizes[workers] = result.size
+        assert len(set(sizes.values())) == 1, sizes
+        if (os.cpu_count() or 1) >= 4:
+            assert elapsed[1] >= 1.5 * elapsed[4], elapsed

@@ -14,6 +14,7 @@ from repro.core import (
     maximum_defective_clique_size,
     variant_config,
 )
+from repro.datasets import get_collection
 from repro.exceptions import InvalidParameterError
 from repro.graphs import (
     Graph,
@@ -158,6 +159,21 @@ class TestConfigurationAndVariants:
         b = solver.solve(cycle_graph(5), 1)
         assert a.size == 4
         assert b.size == 3
+
+    def test_kdc_explores_no_more_nodes_than_kdc_t(self):
+        """The practical techniques of Algorithm 2 (kDC) only cut the tree of
+        the bare O*(γ_k^n) framework (Algorithm 1, kDC-t); both are exact."""
+        for inst in get_collection("real_world_like", scale="tiny")[:3]:
+            full = find_maximum_defective_clique(inst.graph, 2, variant="kDC")
+            bare = find_maximum_defective_clique(
+                inst.graph, 2, variant="kDC-t", node_limit=200_000
+            )
+            assert full.optimal, inst.name
+            if bare.optimal:
+                assert bare.size == full.size, inst.name
+                assert full.stats.nodes <= bare.stats.nodes, inst.name
+            else:
+                assert bare.size <= full.size, inst.name
 
 
 class TestBudgets:
