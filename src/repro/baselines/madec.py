@@ -14,13 +14,15 @@ This reimplementation follows the description in the paper being reproduced:
   from the original MADEC+ paper, both applied per node; there is no RR2,
   RR3, RR4 or RR6;
 * the initial solution is Degen and the input graph is not preprocessed:
-  kDC's prepare with Degen in place of Degen-opt and RR5/RR6 off, run
-  through :func:`~repro.core.prepared.prepare_instance` under
-  :attr:`MADECSolver.prepare_config`.
+  kDC's prepare with Degen in place of Degen-opt and RR5/RR6 off.
 
 The point of this baseline is to reproduce the *relative* behaviour reported
 in Table 2: MADEC+ falls behind KDBB, which in turn falls behind kDC, and the
 gap widens quickly with ``k``.
+
+:class:`MADECSolver` is a :class:`~repro.core.solver.KDCSolver` on the set
+backend whose three node rules are the ones above: it shares kDC's prepare,
+budgets and branch-and-bound.
 """
 
 from __future__ import annotations
@@ -31,26 +33,35 @@ from ..core.bounds import eq2_original_coloring, ub2_min_degree
 from ..core.config import SolverConfig
 from ..core.instance import SearchState
 from ..core.reductions import apply_rr1, apply_rr5
-from .common import BaselineBranchAndBound
+from ..core.result import SearchStats
+from ..core.solver import KDCSolver
 
 __all__ = ["MADECSolver"]
 
 
-class MADECSolver(BaselineBranchAndBound):
+class MADECSolver(KDCSolver):
     """Exact maximum k-defective clique solver in the style of MADEC+."""
 
     name = "MADEC"
-    prepare_config = SolverConfig(initial_heuristic="degen", use_rr5=False, use_rr6=False)
 
-    def _reduce(self, state: SearchState, lower_bound: int) -> bool:
-        apply_rr1(state, self._stats)
-        _, prune = apply_rr5(state, lower_bound, self._stats)
+    def __init__(self, time_limit: Optional[float] = None, node_limit: Optional[int] = None) -> None:
+        # The set backend runs the node rules below in place of kDC's, so
+        # of the rest only the prepare knobs and the budgets are read.
+        config = SolverConfig(
+            initial_heuristic="degen", use_rr5=False, use_rr6=False, backend="set",
+            time_limit=time_limit, node_limit=node_limit,
+        )
+        super().__init__(config, name=self.name)
+
+    def _reduce(self, state: SearchState, lower_bound: int, stats: SearchStats) -> bool:
+        apply_rr1(state, stats)
+        _, prune = apply_rr5(state, lower_bound, stats)
         return prune
 
-    def _upper_bound(self, state: SearchState) -> int:
-        return min(eq2_original_coloring(state), ub2_min_degree(state))
+    def _prunes(self, state: SearchState, incumbent: int) -> bool:
+        return min(eq2_original_coloring(state), ub2_min_degree(state)) <= incumbent
 
-    def _select_branching_vertex(self, state: SearchState) -> Optional[int]:
+    def _select(self, state: SearchState) -> Optional[int]:
         if not state.candidates:
             return None
         degree = state.degree_in_graph

@@ -16,7 +16,7 @@ from ..core.instance import ensure_recursion_limit
 from ..core.result import SearchStats, SolveResult
 from ..exceptions import BudgetExceededError
 from ..graphs.degeneracy import degeneracy_ordering
-from ..graphs.graph import Graph, Vertex
+from ..graphs.graph import Graph, Vertex, labels_of
 
 __all__ = ["MaxCliqueSolver", "maximum_clique", "maximum_clique_size"]
 
@@ -61,11 +61,7 @@ class MaxCliqueSolver:
             optimal = False
 
         stats.elapsed_seconds = time.perf_counter() - start
-        labels = [to_label[v] for v in self._best]
-        try:
-            clique = sorted(labels)
-        except TypeError:
-            clique = labels
+        clique = labels_of(self._best, to_label)
         return SolveResult(clique=clique, size=len(clique), k=0, optimal=optimal,
                            algorithm=self.name, stats=stats)
 

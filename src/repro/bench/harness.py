@@ -59,21 +59,16 @@ def make_solver(
 
     ``backend`` overrides the search-state backend of the kDC variants
     (``"auto"``, ``"set"`` or ``"bitset"``) and ``workers`` the number of
-    decomposition worker processes; the baselines have a single
-    implementation and reject both.
+    decomposition worker processes; the baselines run on the set backend
+    only and reject both.
     """
-    if name in ("KDBB",):
+    baseline = {"KDBB": KDBBSolver, "MADEC": MADECSolver, "MADEC+": MADECSolver}.get(name)
+    if baseline is not None:
         if backend is not None or workers is not None:
             raise InvalidParameterError(
                 "backend/workers selection only applies to the kDC variants"
             )
-        return KDBBSolver(time_limit=time_limit, node_limit=node_limit)
-    if name in ("MADEC", "MADEC+"):
-        if backend is not None or workers is not None:
-            raise InvalidParameterError(
-                "backend/workers selection only applies to the kDC variants"
-            )
-        return MADECSolver(time_limit=time_limit, node_limit=node_limit)
+        return baseline(time_limit=time_limit, node_limit=node_limit)
     try:
         config = variant_config(name, time_limit=time_limit, node_limit=node_limit)
     except InvalidParameterError as exc:
@@ -102,8 +97,8 @@ class InstanceRecord:
     size: int
     elapsed_seconds: float
     nodes: int
-    #: search-state backend that ran ("" for the baselines or when the solve
-    #: was interrupted before the search phase)
+    #: search-state backend that ran ("set" for the baselines; "" when the
+    #: solve was interrupted before the search phase)
     backend: str = ""
     #: decomposition worker processes used (0 when the solve never entered
     #: the degeneracy decomposition, e.g. baselines or whole-graph searches)

@@ -44,6 +44,15 @@ the initial heuristic, the RR5/RR6 preprocessing, and the search itself
 interrupted solve returns the best solution found so far with
 ``optimal=False``.
 
+Node rules
+----------
+The set backend's branch-and-bound (:meth:`_SolveRun._branch`) runs three
+per-node rules, which are methods of the solver: :meth:`KDCSolver._reduce`,
+:meth:`KDCSolver._prunes` and :meth:`KDCSolver._select`.  The baselines
+KDBB and MADEC (:mod:`repro.baselines`) are ``KDCSolver`` subclasses on
+``backend="set"`` that override these three and share everything else:
+prepare, budgets, label mapping and the result.
+
 Re-entrancy
 -----------
 All per-solve state (incumbent, statistics, deadline) lives in a
@@ -59,13 +68,13 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .checkpoint import SolveCheckpoint
 
 from ..exceptions import BudgetExceededError, InvalidParameterError
-from ..graphs.graph import Graph, Vertex
+from ..graphs.graph import Graph, Vertex, labels_of
 from .bounds import ub1_improved_coloring, ub2_min_degree, ub3_degree_sequence
 from .branching import select_branching_vertex
 from .config import SolverConfig, variant_config
@@ -90,18 +99,22 @@ class _SolveRun:
 
     Created afresh per call so that a shared :class:`KDCSolver` instance is
     re-entrant: two concurrent or interleaved solves each own their
-    incumbent, statistics and budget clock.
+    incumbent, statistics and budget clock.  The solver contributes its
+    name and its three node rules.
     """
 
     def __init__(
         self,
+        solver: "KDCSolver",
         config: SolverConfig,
-        name: str,
         cancel: Optional[threading.Event] = None,
         checkpoint: Optional["SolveCheckpoint"] = None,
     ) -> None:
         self.config = config
-        self.name = name
+        self.name = solver.name
+        self.reduce = solver._reduce
+        self.prunes = solver._prunes
+        self.select = solver._select
         self.cancel = cancel
         self.checkpoint = checkpoint
         self.stats = SearchStats()
@@ -151,7 +164,7 @@ class _SolveRun:
             )
         except BudgetExceededError:
             stats.elapsed_seconds = time.perf_counter() - self.start
-            clique = self._labeled_clique(partial_to_label)
+            clique = labels_of(self.best, partial_to_label)
             return SolveResult(
                 clique=clique, size=len(clique), k=k, optimal=False,
                 algorithm=self.name, stats=stats,
@@ -181,7 +194,7 @@ class _SolveRun:
         now = time.perf_counter()
         stats.solve_ms = (now - solve_start) * 1000.0
         stats.elapsed_seconds = now - self.start
-        clique = self._labeled_clique(prepared.to_label)
+        clique = labels_of(self.best, prepared.to_label)
         return SolveResult(
             clique=clique,
             size=len(clique),
@@ -190,14 +203,6 @@ class _SolveRun:
             algorithm=self.name,
             stats=stats,
         )
-
-    def _labeled_clique(self, to_label: Sequence[Vertex]) -> List[Vertex]:
-        """Map ``self.best`` back to original labels (sorted when orderable)."""
-        labels = [to_label[v] for v in self.best]
-        try:
-            return sorted(labels)
-        except TypeError:  # mixed, unorderable vertex labels
-            return labels
 
     # ------------------------------------------------------------------ #
     def _resolve_backend(self, prepared: PreparedInstance, k: int) -> str:
@@ -270,17 +275,15 @@ class _SolveRun:
             self.stats.improvements += 1
 
     def _branch(self, state: SearchState, depth: int) -> None:
-        """Procedure Branch&Bound of Algorithms 1/2."""
+        """Procedure Branch&Bound of Algorithms 1/2, under the solver's node rules."""
         self._check_budget()
         stats = self.stats
         stats.nodes += 1
         if depth > stats.max_depth:
             stats.max_depth = depth
-        config = self.config
 
         # Line 4: reduction rules.
-        prune = apply_reductions(state, config, lower_bound=len(self.best), stats=stats)
-        if prune:
+        if self.reduce(state, len(self.best), stats):
             return
 
         # Line 5: if the whole instance graph is a k-defective clique, record it.
@@ -289,30 +292,17 @@ class _SolveRun:
             self._record_solution(state.graph_vertices())
             return
 
-        # Upper-bound pruning (Algorithm 2 only; a no-op for kDC-t).  The
-        # bounds are evaluated cheapest-first and evaluation stops as soon as
-        # one of them prunes the instance; this changes nothing about which
-        # instances survive, only how much work is spent deciding it.  UB1
-        # is the only coloring-based bound evaluated here, so it colours the
-        # candidates itself (callers evaluating UB1 alongside eq2 share one
-        # coloring through best_upper_bound's classes parameter instead).
-        if config.use_ub1 or config.use_ub2 or config.use_ub3:
-            incumbent = len(self.best)
-            pruned = (
-                (config.use_ub2 and ub2_min_degree(state) <= incumbent)
-                or (config.use_ub3 and ub3_degree_sequence(state) <= incumbent)
-                or (config.use_ub1 and ub1_improved_coloring(state) <= incumbent)
-            )
-            if pruned:
-                stats.prunes_by_bound += 1
-                return
+        # Upper-bound pruning (Algorithm 2 only).
+        if self.prunes(state, len(self.best)):
+            stats.prunes_by_bound += 1
+            return
 
         # Even when not a leaf, the partial solution S itself is a valid
         # k-defective clique and may beat the incumbent.
         self._record_solution(state.solution)
 
-        # Line 6: branching vertex via rule BR.
-        branching_vertex = select_branching_vertex(state)
+        # Line 6: the branching vertex.
+        branching_vertex = self.select(state)
         if branching_vertex is None:
             return
 
@@ -352,6 +342,33 @@ class KDCSolver:
         else:
             self.name = "kDC" if self.config.uses_practical_techniques else "kDC-t"
 
+    # ------------------------------------------------------------------ #
+    # Node rules of the set backend's branch-and-bound
+    # ------------------------------------------------------------------ #
+    def _reduce(self, state: SearchState, lower_bound: int, stats: SearchStats) -> bool:
+        """Line 4: the reduction rules; ``True`` discards the node."""
+        return apply_reductions(state, self.config, lower_bound=lower_bound, stats=stats)
+
+    def _prunes(self, state: SearchState, incumbent: int) -> bool:
+        """Whether an upper bound shows ``state`` cannot beat ``incumbent``.
+
+        The enabled bounds are evaluated cheapest-first and evaluation stops
+        as soon as one of them prunes; this changes nothing about which
+        instances survive, only how much work is spent deciding it.  UB1 is
+        the only coloring-based bound evaluated here, so it colours the
+        candidates itself.  kDC-t enables none, so it never prunes here.
+        """
+        config = self.config
+        return (
+            (config.use_ub2 and ub2_min_degree(state) <= incumbent)
+            or (config.use_ub3 and ub3_degree_sequence(state) <= incumbent)
+            or (config.use_ub1 and ub1_improved_coloring(state) <= incumbent)
+        )
+
+    def _select(self, state: SearchState) -> Optional[int]:
+        """Line 6: the branching vertex by rule BR (``None`` if none remains)."""
+        return select_branching_vertex(state)
+
     def solve(
         self,
         graph: Graph,
@@ -381,7 +398,7 @@ class KDCSolver:
         config = self.config
         if time_limit is not None:
             config = dataclasses.replace(config, time_limit=time_limit)
-        return _SolveRun(config, self.name, cancel=cancel).execute(graph, k)
+        return _SolveRun(self, config, cancel=cancel).execute(graph, k)
 
     def solve_prepared(
         self,
@@ -453,7 +470,7 @@ class KDCSolver:
             overrides["node_limit"] = node_limit
         if overrides:
             config = dataclasses.replace(config, **overrides)
-        run = _SolveRun(config, self.name, cancel=cancel, checkpoint=checkpoint)
+        run = _SolveRun(self, config, cancel=cancel, checkpoint=checkpoint)
         return run.execute_prepared(prepared, k)
 
 

@@ -30,9 +30,10 @@ Exactness is non-negotiable and rests on three guards, all enforced here:
    unsound to reuse once edges are added.  The decomposition's per-anchor
    size cap provides the pruning instead.
 
-When the affected set grows past ``max_affected_fraction`` of the vertices
-the incremental route would do most of a full solve's work anyway, so the
-solver falls back (and re-establishes a fresh epoch while it is at it).
+When the affected set grows past :data:`MAX_AFFECTED_FRACTION` of the
+vertices the incremental route would do most of a full solve's work anyway,
+so the solver falls back (and re-establishes a fresh epoch while it is at
+it).
 
 Each delta goes into the epoch's relabeled graph in place, and is swapped
 back out whenever the route does not commit (a fallback or an exception),
@@ -53,13 +54,17 @@ from ..core.result import SearchStats, SolveResult
 from ..core.solver import KDCSolver
 from ..exceptions import BudgetExceededError, InvalidParameterError
 from ..graphs.degeneracy import degeneracy_ordering
-from ..graphs.graph import Graph, Vertex
+from ..graphs.graph import Graph, Vertex, labels_of
 from ..testing import chaos as faults
 from .delta import EdgeDelta, affected_anchors, apply_delta, apply_delta_in_place
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["DeltaSolveReport", "IncrementalSolver"]
+__all__ = ["DeltaSolveReport", "IncrementalSolver", "MAX_AFFECTED_FRACTION"]
+
+#: A delta that affects more than this fraction of the vertices' anchors is
+#: answered by a full solve, which then opens a fresh epoch.
+MAX_AFFECTED_FRACTION = 0.35
 
 
 class _MemoryCarry:
@@ -182,15 +187,9 @@ class IncrementalSolver:
         config=None,
         *,
         name: str = "kDC",
-        max_affected_fraction: float = 0.35,
         checkpoint_dir: Optional[str] = None,
     ) -> None:
-        if not 0.0 <= max_affected_fraction <= 1.0:
-            raise InvalidParameterError(
-                f"max_affected_fraction must be in [0, 1], got {max_affected_fraction}"
-            )
         self._solver = KDCSolver(config, name=name)
-        self.max_affected_fraction = max_affected_fraction
         self.checkpoint_dir = checkpoint_dir
         self._graph: Optional[Graph] = None
         self._digest: Optional[str] = None
@@ -428,7 +427,7 @@ class IncrementalSolver:
             return self._fallback(succ_digest, "witness-broken")
 
         affected = affected_anchors(rel_successor, epoch.position, rel_delta, k)
-        if len(affected) > self.max_affected_fraction * n:
+        if len(affected) > MAX_AFFECTED_FRACTION * n:
             return self._fallback(succ_digest, f"affected-{len(affected)}-of-{n}")
 
         faults.fire(
@@ -459,12 +458,9 @@ class IncrementalSolver:
 
         stats.backend = "bitset"
         stats.elapsed_seconds = time.monotonic() - solve_started
-        clique = sorted(
-            (epoch.to_label[v] for v in incumbent),
-            key=lambda x: (str(type(x)), str(x)),
-        )
+        clique = labels_of(incumbent, epoch.to_label)
         result = SolveResult(
-            clique=list(clique),
+            clique=clique,
             size=len(clique),
             k=k,
             optimal=True,

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import hashlib
 from itertools import chain
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..exceptions import EdgeNotFoundError, GraphError, SelfLoopError, VertexNotFoundError
 
@@ -73,7 +73,7 @@ Edge = Tuple[Vertex, Vertex]
 #: rows; see :func:`rows_of`.
 Rows = Dict[Vertex, Set[Vertex]]
 
-__all__ = ["Graph", "Vertex", "Edge", "Rows", "rows_of"]
+__all__ = ["Graph", "Vertex", "Edge", "Rows", "labels_of", "rows_of"]
 
 #: Hashed ahead of the row sum in every content digest; a new row format gets
 #: a new tag, so digests of two formats never coincide.
@@ -670,3 +670,18 @@ def rows_of(graph: Union[Graph, Rows]) -> Rows:
     caller's to mutate once the graph is dropped.
     """
     return graph._adj if isinstance(graph, Graph) else graph
+
+
+def labels_of(ids: Iterable[int], to_label: Sequence[Vertex]) -> List[Vertex]:
+    """The labels of relabeled ``ids`` (see :meth:`Graph.relabel`), sorted.
+
+    Orderable labels come back in their natural order.  Mixed labels that do
+    not compare are sorted by ``(str(type(label)), str(label))`` instead.
+    Every solve route reports its clique through this, so one graph's answer
+    lists its vertices in one order whichever route found it.
+    """
+    labels = [to_label[v] for v in ids]
+    try:
+        return sorted(labels)
+    except TypeError:  # mixed, unorderable labels
+        return sorted(labels, key=lambda x: (str(type(x)), str(x)))

@@ -187,9 +187,10 @@ class TestHarnessWiring:
         assert set_record.trail_pushes == 0
         assert record.size == set_record.size
 
-    def test_run_instance_baseline_backend_empty(self):
+    def test_run_instance_baseline_backend_set(self):
+        # The baselines run kDC's set-backend branch-and-bound.
         record = run_instance("KDBB", complete_graph(5), 1, time_limit=10.0)
-        assert record.backend == ""
+        assert record.backend == "set"
 
 
 class TestCLI:

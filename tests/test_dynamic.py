@@ -22,6 +22,7 @@ from repro.dynamic import (
     affected_anchors,
     apply_delta,
 )
+from repro.dynamic import incremental
 from repro.exceptions import (
     BudgetExceededError,
     EdgeNotFoundError,
@@ -303,11 +304,12 @@ class TestIncrementalSolverDifferential:
         assert 1000 in tracker.graph().vertex_set()
         assert report.result.optimal
 
-    def test_zero_affected_fraction_still_exact(self):
-        """max_affected_fraction=0 forces the fallback on every add — the
+    def test_zero_affected_fraction_still_exact(self, monkeypatch):
+        """MAX_AFFECTED_FRACTION = 0 forces the fallback on every add — the
         guard must never cost exactness, only speed."""
+        monkeypatch.setattr(incremental, "MAX_AFFECTED_FRACTION", 0.0)
         graph = gnp_random_graph(35, 0.2, seed=7)
-        tracker = IncrementalSolver(SolverConfig(), max_affected_fraction=0.0)
+        tracker = IncrementalSolver(SolverConfig())
         tracker.solve(graph, 1)
         rng = random.Random(2)
         delta = random_delta(graph, rng, n_adds=1, n_removes=0)
@@ -317,13 +319,14 @@ class TestIncrementalSolverDifferential:
         successor, _ = apply_delta(graph, delta)
         assert report.result.size == KDCSolver(SolverConfig()).solve(successor, 1).size
 
-    def test_full_solve_fallback_honours_apply_budget(self):
-        # The full-solve fallback (forced by max_affected_fraction=0) is a
+    def test_full_solve_fallback_honours_apply_budget(self, monkeypatch):
+        # The full-solve fallback (forced by MAX_AFFECTED_FRACTION = 0) is a
         # ~1 s solve here; apply()'s time_limit must cut it short and leave
         # the tracker on the predecessor, as a trip in the incremental
         # route does.
+        monkeypatch.setattr(incremental, "MAX_AFFECTED_FRACTION", 0.0)
         graph = gnp_random_graph(120, 0.3, seed=5)
-        tracker = IncrementalSolver(SolverConfig(), max_affected_fraction=0.0)
+        tracker = IncrementalSolver(SolverConfig())
         tracker.solve(graph, 2)
         before = tracker.digest
         delta = random_delta(graph, random.Random(1), n_adds=1, n_removes=0)
@@ -374,9 +377,15 @@ class TestIncrementalSolverDifferential:
         with pytest.raises(InvalidParameterError):
             tracker.seed(graph, 1, result)
 
-    def test_invalid_max_affected_fraction(self):
-        with pytest.raises(InvalidParameterError):
-            IncrementalSolver(SolverConfig(), max_affected_fraction=1.5)
+    def test_incremental_answer_lists_int_labels_sorted(self):
+        """The incremental route lists the clique in the order a scratch
+        solve does: natural order for orderable labels."""
+        graph = gnp_random_graph(200, 0.15, seed=3)
+        tracker = IncrementalSolver(SolverConfig())
+        tracker.solve(graph, 2)
+        report = tracker.apply(EdgeDelta(adds=[(0, 1)]))
+        assert report.incremental
+        assert report.result.clique == sorted(report.result.clique)
 
 
 def delta_stream(graph, rng, steps, delta_size, add_fraction=0.7):

@@ -29,6 +29,7 @@ import pytest
 
 from repro.core import KDCSolver, SolverConfig
 from repro.dynamic import EdgeDelta, IncrementalSolver, apply_delta
+from repro.dynamic import incremental
 from repro.graphs import gnp_random_graph
 from repro.service import Client, GraphStore, ServicePersistence, SolverService
 from repro.service.store import SNAPSHOT_INTERVAL
@@ -44,6 +45,12 @@ def _no_leftover_faults():
     chaos.uninstall()
     yield
     chaos.uninstall()
+
+
+@pytest.fixture
+def incremental_route(monkeypatch):
+    """No delta falls back for touching too many anchors."""
+    monkeypatch.setattr(incremental, "MAX_AFFECTED_FRACTION", 1.0)
 
 
 @pytest.fixture
@@ -189,11 +196,12 @@ class TestDynamicResolveFault:
             stats = service.stats()
             assert stats["incremental_hits"] == 0  # the route never completed
 
+    @pytest.mark.usefixtures("incremental_route")
     def test_incremental_solver_retry_after_fault_is_exact(self):
         # sparse enough that the single add stays under the affected-fraction
         # guard (the fault point fires only on the incremental route)
         graph = gnp_random_graph(120, 0.04, seed=5)
-        tracker = IncrementalSolver(CONFIG, max_affected_fraction=1.0)
+        tracker = IncrementalSolver(CONFIG)
         tracker.solve(graph, K)
         delta = EdgeDelta(adds=absent_edges(graph, 1))
 
@@ -212,11 +220,12 @@ class TestDynamicResolveFault:
 
 class TestEpochUndo:
     @pytest.mark.parametrize("point", ["dynamic.resolve", "checkpoint.append"])
+    @pytest.mark.usefixtures("incremental_route")
     def test_failed_resolve_leaves_epoch_on_predecessor(self, point):
         graph = gnp_random_graph(60, 0.25, seed=21)
         edges = absent_edges(graph, 3)
         failed, other = EdgeDelta(adds=edges[:2]), EdgeDelta(adds=edges[2:])
-        tracker = IncrementalSolver(CONFIG, max_affected_fraction=1.0)
+        tracker = IncrementalSolver(CONFIG)
         tracker.solve(graph, K)
         relabeled, to_int, _ = graph.relabel()
 
@@ -235,6 +244,7 @@ class TestEpochUndo:
 
 
 class TestCheckpointResume:
+    @pytest.mark.usefixtures("incremental_route")
     def test_killed_incremental_resolve_resumes_from_checkpoint(
         self, tmp_path
     ):
@@ -244,7 +254,7 @@ class TestCheckpointResume:
         delta = EdgeDelta(adds=absent_edges(dense, 3))
 
         # the unfaulted twin tells us the affected/unaffected split
-        twin = IncrementalSolver(CONFIG, max_affected_fraction=1.0)
+        twin = IncrementalSolver(CONFIG)
         twin.solve(dense, K)
         twin_report = twin.apply(delta)
         assert twin_report.incremental, twin_report.fallback_reason
@@ -253,9 +263,7 @@ class TestCheckpointResume:
         )
         n_unaffected = twin_report.anchors_reused
 
-        tracker = IncrementalSolver(
-            CONFIG, max_affected_fraction=1.0, checkpoint_dir=str(tmp_path / "ckpt")
-        )
+        tracker = IncrementalSolver(CONFIG, checkpoint_dir=str(tmp_path / "ckpt"))
         tracker.solve(dense, K)
         # the first affected anchor journals at count == n_unaffected (the
         # carried-over anchors are merged in memory, never journaled), so
@@ -282,19 +290,20 @@ class TestCheckpointResume:
             f"(restored={restored}, unaffected={n_unaffected})"
         )
 
+    @pytest.mark.usefixtures("incremental_route")
     def test_memory_carry_resumes_without_checkpoint_dir(self):
         """The in-memory carry keeps a failed apply's progress for a retry."""
         dense = gnp_random_graph(60, 0.25, seed=21)
         delta = EdgeDelta(adds=absent_edges(dense, 3))
 
-        twin = IncrementalSolver(CONFIG, max_affected_fraction=1.0)
+        twin = IncrementalSolver(CONFIG)
         twin.solve(dense, K)
         twin_report = twin.apply(delta)
         assert twin_report.incremental
         n_unaffected = twin_report.anchors_reused
 
         # no checkpoint_dir: the in-memory carry
-        tracker = IncrementalSolver(CONFIG, max_affected_fraction=1.0)
+        tracker = IncrementalSolver(CONFIG)
         tracker.solve(dense, K)
         injector = FaultInjector().add(
             "checkpoint.append", error="boom", match={"count": n_unaffected + 1}

@@ -125,6 +125,15 @@ class TestShapeComparison:
         text = str(checks[0])
         assert text.startswith("[")
 
+    def test_compare_table2_shape_tie_is_not_the_papers_winner(self):
+        # kDC wins alone in the paper's facebook row at k = 1; a tie for the
+        # most solved instances is a different winner set.
+        measured = {"facebook_like": {"kDC": {1: 9}, "KDBB": {1: 9}, "MADEC": {1: 5}}}
+        (ordering, winner) = compare_table2_shape(measured, k_values=(1,))
+        assert ordering.passed
+        assert not winner.passed
+        assert "measured winner ['KDBB', 'kDC']" in winner.detail
+
     def test_unknown_collection_still_checked_for_ordering(self):
         measured = {"custom": {"kDC": {1: 3}, "KDBB": {1: 2}, "MADEC": {1: 1}}}
         checks = compare_table2_shape(measured, k_values=(1,))

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.baselines import KDBBSolver, MADECSolver
 from repro.bench.harness import make_solver, run_instance
 from repro.cli import main as cli_main
 from repro.core import (
@@ -180,13 +181,14 @@ class TestReentrancy:
         assert first.size == again.size
         assert first.stats is not second.stats
 
-    def test_concurrent_solves_on_shared_instance(self):
+    @pytest.mark.parametrize("solver_cls", [KDCSolver, KDBBSolver, MADECSolver])
+    def test_concurrent_solves_on_shared_instance(self, solver_cls):
         # Regression for the former per-instance _best/_stats fields: two
         # interleaved solves on one instance must not cross-contaminate
         # incumbents or statistics.
-        solver = KDCSolver(SolverConfig())
+        solver = solver_cls()
         graphs = [gnp_random_graph(45, 0.3, seed=s) for s in range(6)]
-        expected = [KDCSolver(SolverConfig()).solve(g, 2).size for g in graphs]
+        expected = [solver_cls().solve(g, 2).size for g in graphs]
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(lambda g: solver.solve(g, 2), graphs))
         assert [r.size for r in results] == expected

@@ -104,19 +104,15 @@ class TestPollsInsideThePeels:
         assert len(degen_opt(graph, k, budget_check=_fires_from_call(1))) == 2048
 
 
-def _solve_tripped_inside_rr6(solver, deadline, graph, monkeypatch):
-    """``solver.solve(graph, 3)`` with the time limit running out as RR6 starts.
-
-    ``deadline`` names the attribute the solver's budget check reads its
-    deadline from.
-    """
+def _solve_tripped_inside_rr6(solver, graph, monkeypatch):
+    """``solver.solve(graph, 3)`` with the time limit running out as RR6 starts."""
     real_truss = reductions.truss_reduce_in_place
     raised = []
 
     def truss_after_deadline(rows, k, budget_check=None):
         # The run's time limit runs out just as RR6 starts, so the first
         # poll to see it is one inside the truss peel.
-        setattr(budget_check.__self__, deadline, time.perf_counter() - 1.0)
+        budget_check.__self__.deadline = time.perf_counter() - 1.0
         try:
             return real_truss(rows, k, budget_check=budget_check)
         except BudgetExceededError:
@@ -140,11 +136,11 @@ def _assert_heuristic_incumbent_not_optimal(result, graph, config):
 class TestSolveTrippedInsideRR6:
     def test_returns_heuristic_incumbent_not_optimal(self, graph, monkeypatch):
         solver = KDCSolver(SolverConfig(time_limit=60.0))
-        result = _solve_tripped_inside_rr6(solver, "deadline", graph, monkeypatch)
+        result = _solve_tripped_inside_rr6(solver, graph, monkeypatch)
         _assert_heuristic_incumbent_not_optimal(result, graph, SolverConfig())
 
     def test_kdbb_returns_heuristic_incumbent_not_optimal(self, graph, monkeypatch):
         # The baselines prepare through prepare_instance under the same budget.
         solver = KDBBSolver(time_limit=60.0)
-        result = _solve_tripped_inside_rr6(solver, "_deadline", graph, monkeypatch)
-        _assert_heuristic_incumbent_not_optimal(result, graph, KDBBSolver.prepare_config)
+        result = _solve_tripped_inside_rr6(solver, graph, monkeypatch)
+        _assert_heuristic_incumbent_not_optimal(result, graph, solver.config)
