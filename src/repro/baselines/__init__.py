@@ -2,12 +2,12 @@
 
 * :class:`MADECSolver` — MADEC+-style branch and bound (original coloring bound).
 * :class:`KDBBSolver` — KDBB-style branch and bound (degree-sequence bound + preprocessing).
-
-  Both are :class:`~repro.core.solver.KDCSolver` subclasses on the set
-  backend: they run kDC's prepare and branch-and-bound with their own
-  per-node reductions, bound and branching rule.
 * :class:`MaxCliqueSolver` — exact maximum clique (for the Table 5–6 analyses).
 * :func:`brute_force_maximum_defective_clique` — exhaustive ground truth for tests.
+
+MADEC and KDBB are :class:`~repro.core.solver.KDCSolver` subclasses on the
+set backend that run kDC's prepare and branch-and-bound with their own
+per-node reductions, bound and branching rule.
 """
 
 from .brute_force import (
