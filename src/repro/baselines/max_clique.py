@@ -22,35 +22,45 @@ __all__ = ["MaxCliqueSolver", "maximum_clique", "maximum_clique_size"]
 
 
 class MaxCliqueSolver:
-    """Exact maximum clique solver (branch and bound with coloring bound)."""
+    """Exact maximum clique solver (branch and bound with coloring bound).
+
+    Every ``solve`` call keeps its state in its own :class:`_CliqueRun`, so
+    one instance may serve concurrent or interleaved solves.
+    """
 
     name = "MaxClique"
 
     def __init__(self, time_limit: Optional[float] = None) -> None:
         self.time_limit = time_limit
-        self._deadline: Optional[float] = None
-        self._stats = SearchStats()
-        self._best: List[int] = []
-        self._adj: List[Set[int]] = []
 
     def solve(self, graph: Graph) -> SolveResult:
         """Return a maximum clique of ``graph`` as a :class:`SolveResult` (k = 0)."""
-        stats = SearchStats()
-        self._stats = stats
-        start = time.perf_counter()
-        self._deadline = start + self.time_limit if self.time_limit is not None else None
+        return _CliqueRun(self.time_limit).execute(graph, self.name)
 
+
+class _CliqueRun:
+    """All mutable state of one :meth:`MaxCliqueSolver.solve` call."""
+
+    def __init__(self, time_limit: Optional[float]) -> None:
+        self.stats = SearchStats()
+        self.start = time.perf_counter()
+        self.deadline = self.start + time_limit if time_limit is not None else None
+        self.best: List[int] = []
+        self.adj: List[Set[int]] = []
+
+    def execute(self, graph: Graph, name: str) -> SolveResult:
+        stats = self.stats
         if graph.num_vertices == 0:
-            stats.elapsed_seconds = time.perf_counter() - start
-            return SolveResult(clique=[], size=0, k=0, optimal=True, algorithm=self.name, stats=stats)
+            stats.elapsed_seconds = time.perf_counter() - self.start
+            return SolveResult(clique=[], size=0, k=0, optimal=True, algorithm=name, stats=stats)
 
         relabeled, _, to_label = graph.relabel()
-        self._adj = [set(relabeled.neighbors(v)) for v in range(relabeled.num_vertices)]
+        self.adj = [set(relabeled.neighbors(v)) for v in range(relabeled.num_vertices)]
 
         # Heuristic seed: greedily extend a clique along the degeneracy ordering.
         decomposition = degeneracy_ordering(relabeled)
-        self._best = self._greedy_clique(decomposition.ordering)
-        stats.initial_solution_size = len(self._best)
+        self.best = self._greedy_clique(decomposition.ordering)
+        stats.initial_solution_size = len(self.best)
 
         optimal = True
         ensure_recursion_limit(relabeled.num_vertices)
@@ -60,10 +70,10 @@ class MaxCliqueSolver:
         except BudgetExceededError:
             optimal = False
 
-        stats.elapsed_seconds = time.perf_counter() - start
-        clique = labels_of(self._best, to_label)
+        stats.elapsed_seconds = time.perf_counter() - self.start
+        clique = labels_of(self.best, to_label)
         return SolveResult(clique=clique, size=len(clique), k=0, optimal=optimal,
-                           algorithm=self.name, stats=stats)
+                           algorithm=name, stats=stats)
 
     # ------------------------------------------------------------------ #
     def _greedy_clique(self, ordering: List[int]) -> List[int]:
@@ -74,7 +84,7 @@ class MaxCliqueSolver:
             for v in reversed(ordering):
                 if v in clique_set:
                     continue
-                if all(v in self._adj[u] for u in clique):
+                if all(v in self.adj[u] for u in clique):
                     clique.append(v)
                     clique_set.add(v)
             if len(clique) > len(best):
@@ -83,7 +93,7 @@ class MaxCliqueSolver:
         return best
 
     def _check_budget(self) -> None:
-        if self._deadline is not None and time.perf_counter() > self._deadline:
+        if self.deadline is not None and time.perf_counter() > self.deadline:
             raise BudgetExceededError("time limit exceeded")
 
     def _color_sort(self, candidates: List[int]) -> List[int]:
@@ -95,10 +105,10 @@ class MaxCliqueSolver:
         obtainable from that vertex and its predecessors).
         """
         color_classes: List[List[int]] = []
-        for v in sorted(candidates, key=lambda u: -len(self._adj[u])):
+        for v in sorted(candidates, key=lambda u: -len(self.adj[u])):
             placed = False
             for cls in color_classes:
-                if all(v not in self._adj[u] for u in cls):
+                if all(v not in self.adj[u] for u in cls):
                     cls.append(v)
                     placed = True
                     break
@@ -115,25 +125,25 @@ class MaxCliqueSolver:
 
     def _expand(self, clique: List[int], candidates: List[int], depth: int) -> None:
         self._check_budget()
-        self._stats.nodes += 1
-        if depth > self._stats.max_depth:
-            self._stats.max_depth = depth
+        self.stats.nodes += 1
+        if depth > self.stats.max_depth:
+            self.stats.max_depth = depth
 
         if not candidates:
-            if len(clique) > len(self._best):
-                self._best = list(clique)
-                self._stats.improvements += 1
+            if len(clique) > len(self.best):
+                self.best = list(clique)
+                self.stats.improvements += 1
             return
 
         bounds = self._color_sort(candidates)
         # Process candidates in reverse (highest colour first).
         for i in range(len(candidates) - 1, -1, -1):
-            if len(clique) + bounds[i] <= len(self._best):
-                self._stats.prunes_by_bound += 1
+            if len(clique) + bounds[i] <= len(self.best):
+                self.stats.prunes_by_bound += 1
                 return
             v = candidates[i]
             clique.append(v)
-            adj_v = self._adj[v]
+            adj_v = self.adj[v]
             next_candidates = [u for u in candidates[:i] if u in adj_v]
             self._expand(clique, next_candidates, depth + 1)
             clique.pop()

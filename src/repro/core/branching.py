@@ -8,10 +8,12 @@ left-branch chains by ``k + 2`` in the complexity proof (Fact 3 of
 Lemma 3.4).
 
 Within the freedom the rule leaves, this implementation prefers the candidate
-with the **most** non-neighbours in ``S`` (ties broken towards smaller degree
-in ``g``): removing or committing such a vertex tends to change the instance
-the most, which is a common branch-and-bound heuristic and does not affect
-the worst-case analysis.
+with the **fewest** (but at least one) non-neighbours in ``S``, ties broken
+towards higher degree in ``g``: its inclusion branch is the most promising,
+which raises the incumbent early and feeds the lb-driven reductions.  The
+choice does not affect the worst-case analysis.  When every candidate is
+fully adjacent to ``S`` it picks a maximum-degree one (ties towards the
+smaller id).
 """
 
 from __future__ import annotations

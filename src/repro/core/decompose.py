@@ -10,9 +10,12 @@ paper's implementation scales to million-edge SNAP/DIMACS10 inputs:
    its *lowest-ranked* vertex.  Such a solution lives inside ``{v} ∪ N⁺(v) ∪
    N(N⁺(v))`` restricted to higher-ranked vertices, so the subproblem width
    is bounded by roughly ``degeneracy + k`` after filtering;
-3. thread one shared incumbent through every subproblem: each engine run
-   starts from the current global lower bound, so RR5/UB pruning kills most
-   subproblems before any branching happens.
+3. thread one shared incumbent through every subproblem: before any ego
+   net is built, a core certificate on ``v``'s higher-ranked neighbours
+   (see :func:`build_ego_subproblem`) closes every anchor that cannot hold a
+   solution larger than the incumbent, and each surviving engine run starts
+   from the current global lower bound, so RR5/UB pruning kills most of the
+   rest before any branching happens.
 
 Safety of the candidate restriction rests on the diameter-2 property of
 k-defective cliques [Chen et al. 2021]: any k-defective clique ``S`` with
@@ -65,12 +68,12 @@ def solve_anchor(
 ) -> None:
     """Build and exactly solve the ego subproblem anchored at ``v``.
 
-    The per-anchor body of :func:`solve_decomposed`'s in-process loop and
-    of the pool workers' batches: prunes via
-    :func:`build_ego_subproblem`'s size cap (counted in
-    ``stats.subproblems_pruned``) or runs one engine search (counted in
-    ``stats.subproblems``), growing ``incumbent`` in place.  Worker
-    processes and the parent run the same
+    The per-anchor body of :func:`solve_decomposed`'s in-process loop, of
+    the pool workers' batches and of the incremental re-solve: closes the
+    anchor on :func:`build_ego_subproblem`'s core certificate before any
+    build (counted in ``stats.subproblems_pruned``) or runs one engine
+    search (counted in ``stats.subproblems``), growing ``incumbent`` in
+    place.  Worker processes and the parent run the same
     :class:`~repro.core.fastpath.BitsetEngine`, so they branch with the same
     per-node cost profile.
     """
@@ -114,19 +117,55 @@ def build_ego_subproblem(
     -------
     ``(local_vertices, adj_bits)`` where ``local_vertices[0] == v`` maps
     local ids back to instance ids and ``adj_bits`` is the packed local
-    adjacency — or ``None`` when the incumbent size cap already proves no
+    adjacency — or ``None`` when the core certificate below proves no
     solution anchored at ``v`` can beat ``lower_bound``.
+
+    The core certificate
+    --------------------
+    Before any two-hop scan, the subgraph ``G[N⁺(v)]`` induced by ``v``'s
+    higher-ranked neighbours is peeled down to its ``(lb - k - 1)``-core
+    (``lb = lower_bound``); fewer than ``lb - k`` survivors close the anchor.
+    This is exact:
+
+    * let ``S`` be a k-defective clique with ``|S| >= lb + 1`` whose
+      lowest-ranked vertex is ``v``, and ``H = S ∩ N⁺(v)``;
+    * each of ``v``'s ``t`` non-neighbours in ``S`` costs one missing edge,
+      so ``|H| >= lb - t >= lb - k`` and ``H`` misses at most ``k - t``
+      edges;
+    * every ``w ∈ H`` therefore has at least ``|H| - 1 - (k - t) >=
+      lb - k - 1`` neighbours inside ``H``;
+    * so ``H`` lies in the ``(lb - k - 1)``-core of ``G[N⁺(v)]``, and that
+      core keeps at least ``lb - k`` vertices.
+
+    The argument does not use the diameter-2 property.  Its trivial case,
+    ``|N⁺(v)| < lb - k``, is the size bound ``1 + |N⁺(v)| + k <= lb`` on any
+    solution anchored at ``v``.
+    Each higher neighbour costs one C-level set intersection, and no row
+    that ``neighbors`` returns is mutated (graph rows are shared
+    copy-on-write).  An anchor that passes builds exactly the subproblem it
+    would without the certificate.
     """
     pos_v = position[v]
     higher = [u for u in neighbors(v) if position[u] > pos_v]
-    # A solution with v lowest-ranked has at most 1 + |N⁺(v)| + k vertices
-    # (each of the <= k non-neighbours of v costs one of the k missing
-    # edges), so small ego nets cannot beat the incumbent.
-    if 1 + len(higher) + k <= lower_bound:
+    higher_set = set(higher)
+    # The core certificate: peel G[N⁺(v)] on private copies of its rows,
+    # stopping as soon as fewer than `need` vertices can survive.
+    need = lower_bound - k
+    inner = {w: higher_set.intersection(neighbors(w)) for w in higher}
+    degree = {w: len(row) for w, row in inner.items()}
+    doomed = [w for w, d in degree.items() if d < need - 1]
+    removed = set(doomed)
+    while doomed and len(higher) - len(removed) >= need:
+        for u in inner[doomed.pop()]:
+            if u not in removed:
+                degree[u] -= 1
+                if degree[u] < need - 1:
+                    removed.add(u)
+                    doomed.append(u)
+    if len(higher) - len(removed) < need:
         return None
 
     target = lower_bound + 1
-    higher_set = set(higher)
     # Two-hop candidates: higher-ranked non-neighbours of v reachable
     # through N⁺(v), filtered by the common-neighbour lower bound
     # |N(u) ∩ N(v) ∩ S| >= target - 2k (diameter-2 argument above).
@@ -242,8 +281,8 @@ def solve_decomposed(
 
     # Process anchors in reverse peeling order: the densest part of the graph
     # (where the maximum solution almost always lives) is searched first, so
-    # the incumbent tightens early and the cheap size cap in
-    # build_ego_subproblem skips most of the remaining, sparser ego nets
+    # the incumbent tightens early and the core certificate in
+    # build_ego_subproblem closes most of the remaining, sparser ego nets
     # without building them.
     anchors = []
     for v in reversed(ordering):

@@ -12,8 +12,8 @@ one decomposition driver) hands its anchors to this module's
   initializer (one pickle per worker, not per task);
 * the current best *size* is broadcast through shared memory; each worker
   refreshes its local lower bound from it before building every subproblem,
-  so an improvement found by any worker immediately tightens the size cap
-  and the candidate filters everywhere else;
+  so an improvement found by any worker immediately tightens the core
+  certificate and the candidate filters everywhere else;
 * the best *vertices* stay worker-local and travel back to the parent with
   each finished batch, where they are merged into the caller's incumbent;
 * each worker solves its ego subproblems with the bitset engine; the

@@ -48,8 +48,9 @@ class SearchStats:
     #: decomposition ego subproblems actually searched (0 when the solve
     #: never entered the degeneracy decomposition)
     subproblems: int = 0
-    #: decomposition anchors skipped outright because the incumbent size cap
-    #: proved their ego net could not contain a larger solution
+    #: decomposition anchors closed before any build because the core
+    #: certificate on their higher-ranked neighbours proved their ego net
+    #: could not contain a solution larger than the incumbent
     subproblems_pruned: int = 0
     #: decomposition anchors skipped because a solve checkpoint journaled
     #: them as completed by an earlier (interrupted) run of the same solve

@@ -28,7 +28,9 @@ Exactness is non-negotiable and rests on three guards, all enforced here:
    relabeled graph, never the RR5/RR6-preprocessed one — those reductions
    were taken relative to an old lower bound on an old graph and are
    unsound to reuse once edges are added.  The decomposition's per-anchor
-   size cap provides the pruning instead.
+   core certificate provides the pruning instead: it peels each affected
+   anchor's higher-ranked neighbourhood against the current lower bound on
+   the current graph, and closes most affected anchors before any build.
 
 When the affected set grows past :data:`MAX_AFFECTED_FRACTION` of the
 vertices the incremental route would do most of a full solve's work anyway,

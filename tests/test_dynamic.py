@@ -29,7 +29,7 @@ from repro.exceptions import (
     InvalidParameterError,
     SelfLoopError,
 )
-from repro.graphs import Graph, gnp_random_graph
+from repro.graphs import Graph, gnp_random_graph, powerlaw_cluster_graph
 from repro.graphs.degeneracy import degeneracy_ordering
 
 
@@ -449,3 +449,25 @@ class TestDeltaStreams:
         graph = gnp_random_graph(600, 0.012, seed=100 + delta_size)
         rng = random.Random(100 + delta_size)
         resolved_fractions(graph, 1, delta_stream(graph, rng, steps=12, delta_size=delta_size))
+
+    def test_core_certificate_closes_the_churn_anchors(self, monkeypatch):
+        """A power-law graph under 20 steps of two adds and one remove: every
+        step is incremental and exact, and the affected anchors close on the
+        core certificate instead of being searched (at most 5% searched).
+        The affected-fraction cap is lifted so that an add between two hubs,
+        which affects about half the anchors here, stays on this route."""
+        monkeypatch.setattr(incremental, "MAX_AFFECTED_FRACTION", 1.0)
+        graph = powerlaw_cluster_graph(500, 8, 0.3, seed=1)
+        rng = random.Random(1)
+        tracker = IncrementalSolver(SolverConfig())
+        scratch = KDCSolver(SolverConfig())
+        tracker.solve(graph, 2)
+        searched = resolved = 0
+        for step in range(20):
+            report = tracker.apply(random_delta(tracker.graph(), rng, n_adds=2, n_removes=1))
+            assert report.incremental, f"step {step}: {report.fallback_reason}"
+            assert report.result.size == scratch.solve(tracker.graph(), 2).size, f"step {step}"
+            searched += report.result.stats.subproblems
+            resolved += report.anchors_resolved
+        assert resolved > 0
+        assert searched <= 0.05 * resolved, (searched, resolved)

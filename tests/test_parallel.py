@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import os
+import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
-from repro.baselines import KDBBSolver, MADECSolver
+from repro.baselines import KDBBSolver, MADECSolver, MaxCliqueSolver
 from repro.bench.harness import make_solver, run_instance
 from repro.cli import main as cli_main
 from repro.core import (
@@ -19,7 +21,8 @@ from repro.core import (
     is_k_defective_clique,
 )
 from repro.exceptions import InvalidParameterError
-from repro.graphs import gnp_random_graph, write_edge_list
+from repro.graphs import Graph, gnp_random_graph, write_edge_list
+from repro.graphs.degeneracy import degeneracy_ordering
 
 
 class TestConfig:
@@ -194,12 +197,23 @@ class TestReentrancy:
         assert [r.size for r in results] == expected
         assert all(r.optimal for r in results)
 
+    def test_concurrent_max_clique_solves_on_shared_instance(self):
+        # MaxCliqueSolver.solve takes no k, so it has its own case.  Each
+        # graph takes tens of milliseconds, long enough for the threads to
+        # interleave inside one another's branch-and-bound.
+        solver = MaxCliqueSolver()
+        graphs = [gnp_random_graph(90 + 4 * s, 0.5, seed=s) for s in range(6)]
+        expected = [MaxCliqueSolver().solve(g).size for g in graphs]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(solver.solve, graphs))
+        assert [r.size for r in results] == expected
+        assert all(r.optimal for r in results)
+
 
 class TestEgoSubproblemBuilder:
     def test_size_cap_returns_none(self):
         graph = gnp_random_graph(30, 0.2, seed=0)
         relabeled, _, _ = graph.relabel()
-        from repro.graphs.degeneracy import degeneracy_ordering
 
         decomposition = degeneracy_ordering(relabeled)
         v = decomposition.ordering[0]  # lowest-degeneracy anchor: tiny ego net
@@ -212,12 +226,11 @@ class TestEgoSubproblemBuilder:
     def test_anchor_is_local_zero(self):
         graph = gnp_random_graph(30, 0.4, seed=1)
         relabeled, _, _ = graph.relabel()
-        from repro.graphs.degeneracy import degeneracy_ordering
 
         decomposition = degeneracy_ordering(relabeled)
         position = decomposition.position
         # Anchor with the most higher-ranked neighbours, so the ego net is
-        # guaranteed to clear the incumbent size cap.
+        # guaranteed to pass the core certificate.
         v = max(
             relabeled,
             key=lambda u: sum(1 for w in relabeled.neighbors(u) if position[w] > position[u]),
@@ -233,6 +246,55 @@ class TestEgoSubproblemBuilder:
         for i, row in enumerate(adj_bits):
             for j in range(len(local_vertices)):
                 assert bool((row >> j) & 1) == bool((adj_bits[j] >> i) & 1)
+
+    def test_edgeless_higher_neighbours_are_closed(self):
+        # Anchor 0 of a star with eight higher-ranked leaves: the size bound
+        # alone (1 + 8 + k > lb) cannot close it, but no two leaves are
+        # adjacent, so the 2-core of G[N+(0)] is empty.
+        star = Graph(edges=[(0, u) for u in range(1, 9)])
+        position = {u: u for u in star}
+        assert build_ego_subproblem(star.neighbors, position, 0, lower_bound=4, k=1) is None
+
+    def test_clique_of_higher_neighbours_is_built(self):
+        # Anchor 0 joined to a K6 of higher-ranked vertices, plus a two-hop
+        # vertex 7 adjacent to all of the K6.
+        edges = [(0, u) for u in range(1, 7)]
+        edges += [(u, w) for u, w in combinations(range(1, 8), 2)]
+        graph = Graph(edges=edges)
+        position = {u: u for u in graph}
+        sub = build_ego_subproblem(graph.neighbors, position, 0, lower_bound=5, k=1)
+        assert sub is not None
+        local_vertices, _ = sub
+        assert local_vertices[0] == 0
+        assert sorted(local_vertices) == list(range(8))
+
+    def test_core_certificate_is_sound(self):
+        """Brute force on small graphs: whenever the builder closes an anchor
+        for a lower bound lb, no k-defective clique of size lb + 1 has that
+        anchor as its lowest-ranked vertex; and no row changes."""
+        rng = random.Random(5)
+        closures = 0
+        for _ in range(60):
+            n = rng.randint(4, 10)
+            p = rng.uniform(0.3, 0.9)
+            graph, _, _ = gnp_random_graph(n, p, seed=rng.randrange(10_000)).relabel()
+            position = degeneracy_ordering(graph).position
+            rows = {u: set(graph.neighbors(u)) for u in graph}
+            for k in range(4):
+                for lb in range(k + 1, n):
+                    for v in graph:
+                        sub = build_ego_subproblem(graph.neighbors, position, v, lb, k)
+                        assert {u: graph.neighbors(u) for u in graph} == rows
+                        if sub is not None:
+                            continue
+                        closures += 1
+                        higher = [u for u in graph if position[u] > position[v]]
+                        for rest in combinations(higher, lb):
+                            witness = (v,) + rest
+                            assert graph.count_missing_edges(witness) > k, (
+                                f"closed anchor {v} at lb={lb}, k={k} has {witness}"
+                            )
+        assert closures > 1000
 
 
 class TestWiring:

@@ -182,7 +182,10 @@ GOLDEN_ANCHOR = {
 
 # The forced decomposition through KDCSolver (prepare included): (nodes,
 # prunes_by_bound, leaves, recolor_full, recolor_repair, optimum,
-# subproblems, subproblems_pruned).
+# subproblems, subproblems_pruned).  Re-recorded when build_ego_subproblem
+# gained its core certificate: 15 rows moved anchors from subproblems to
+# subproblems_pruned (their sum and the optimum are unchanged) and no count
+# rose, because a closed anchor could not have raised the incumbent.
 GOLDEN_DECOMPOSED = {
     (0, 0): (0, 0, 0, 0, 0, 4, 0, 0),
     (0, 1): (0, 0, 0, 0, 0, 5, 0, 0),
@@ -196,8 +199,8 @@ GOLDEN_DECOMPOSED = {
     (1, 4): (19, 7, 6, 10, 7, 10, 9, 6),
     (2, 0): (0, 0, 0, 0, 0, 4, 0, 0),
     (2, 1): (0, 0, 0, 0, 0, 5, 0, 0),
-    (2, 2): (11, 2, 8, 3, 0, 5, 9, 4),
-    (2, 3): (9, 3, 4, 3, 0, 6, 9, 4),
+    (2, 2): (9, 2, 6, 3, 0, 5, 7, 6),
+    (2, 3): (7, 3, 2, 3, 0, 6, 7, 6),
     (2, 4): (64, 18, 16, 32, 26, 6, 18, 2),
     (3, 0): (0, 0, 0, 0, 0, 4, 0, 0),
     (3, 1): (1, 0, 1, 0, 0, 4, 1, 3),
@@ -207,22 +210,22 @@ GOLDEN_DECOMPOSED = {
     (4, 0): (0, 0, 0, 0, 0, 8, 0, 0),
     (4, 1): (1, 0, 1, 0, 0, 8, 1, 7),
     (4, 2): (1, 0, 1, 0, 0, 9, 1, 7),
-    (4, 3): (104, 26, 13, 37, 56, 9, 16, 6),
-    (4, 4): (88, 31, 7, 36, 52, 10, 16, 6),
+    (4, 3): (98, 22, 13, 33, 54, 9, 12, 10),
+    (4, 4): (82, 27, 7, 32, 50, 10, 12, 10),
     (5, 0): (0, 0, 0, 0, 0, 6, 0, 0),
     (5, 1): (0, 0, 0, 0, 0, 7, 0, 0),
     (5, 2): (2, 0, 2, 0, 0, 7, 2, 5),
-    (5, 3): (34, 13, 7, 19, 8, 7, 20, 4),
-    (5, 4): (26, 13, 6, 13, 5, 8, 20, 4),
-    (6, 0): (11, 0, 0, 0, 0, 10, 11, 12),
-    (6, 1): (13, 5, 0, 6, 1, 11, 11, 12),
-    (6, 2): (111, 31, 4, 34, 63, 11, 17, 11),
-    (6, 3): (266, 75, 17, 90, 172, 12, 22, 8),
-    (6, 4): (522, 163, 23, 195, 361, 12, 22, 8),
-    (7, 0): (15, 2, 1, 2, 0, 11, 15, 11),
-    (7, 1): (15, 7, 1, 7, 0, 12, 15, 11),
-    (7, 2): (59, 19, 6, 18, 30, 12, 15, 11),
-    (7, 3): (63, 29, 6, 23, 41, 13, 15, 11),
+    (5, 3): (26, 8, 6, 14, 8, 7, 12, 12),
+    (5, 4): (18, 8, 5, 8, 5, 8, 12, 12),
+    (6, 0): (3, 0, 0, 0, 0, 10, 3, 20),
+    (6, 1): (3, 2, 0, 2, 0, 11, 3, 20),
+    (6, 2): (104, 27, 4, 30, 63, 11, 10, 18),
+    (6, 3): (258, 71, 15, 86, 168, 12, 18, 12),
+    (6, 4): (520, 163, 21, 195, 361, 12, 20, 10),
+    (7, 0): (14, 2, 1, 2, 0, 11, 14, 12),
+    (7, 1): (14, 7, 1, 7, 0, 12, 14, 12),
+    (7, 2): (58, 19, 5, 18, 30, 12, 14, 12),
+    (7, 3): (62, 29, 5, 23, 41, 13, 14, 12),
     (7, 4): (495, 188, 48, 225, 389, 13, 17, 9),
 }
 
@@ -230,10 +233,12 @@ GOLDEN_DECOMPOSED = {
 # Default KDCSolver solves at k = 3 on the benchmark's dense-search shapes,
 # keyed by (n, p, seed) of gnp_random_graph: (nodes, prunes_by_bound, leaves,
 # recolor_full, recolor_repair, optimum, subproblems).  G(140, .2) takes the
-# ego-subproblem path, G(74, .35) the whole-graph engine.
+# ego-subproblem path, G(74, .35) the whole-graph engine.  The G(140, .2)
+# rows were re-recorded with the core certificate, which closes 39 and 49 of
+# their anchors before building them.
 GOLDEN_DENSE = {
-    (140, 0.2, 1): (4498, 650, 46, 1262, 2495, 7, 134),
-    (140, 0.2, 2): (2280, 289, 34, 787, 1176, 7, 130),
+    (140, 0.2, 1): (4425, 619, 46, 1231, 2469, 7, 95),
+    (140, 0.2, 2): (2163, 248, 34, 740, 1134, 7, 81),
     (74, 0.35, 1): (4475, 627, 13, 844, 2485, 8, 0),
     (74, 0.35, 2): (3497, 463, 18, 677, 1926, 8, 0),
 }
