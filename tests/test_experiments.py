@@ -8,6 +8,8 @@ and checks the claim of the paper that its table or figure carries.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.bench import (
@@ -22,6 +24,7 @@ from repro.bench import (
     table6,
     table7,
 )
+from repro.bench.experiments import DEFAULT_K_VALUES
 
 
 class TestTable2:
@@ -78,6 +81,31 @@ class TestTables5to7:
         assert "Table 7" in result.text
         for agg in result.data.values():
             assert 0.0 <= agg["avg_pct_not_fully_connected"] <= 100.0
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+#: SHA-256 of each table's ``.text`` at ``scale="tiny"`` over
+#: ``DEFAULT_K_VALUES`` and the default budget.  Every tiny instance solves
+#: in milliseconds, so the tables are deterministic.
+GOLDEN_PROPERTY_TEXT = {
+    "table5": "6b2dbd2670d83afc990af254cd831aaba036f976216fae3619d0139c499239bf",
+    "table6": "0b9e75a472fcab5414b8283804fb80e4bd83c4952f5bc224e4d89f01e4b98458",
+    "table7": "947dcf05332148b962d977bbe5f012ef3e16c80c0e5291b833403ac783c5f0dd",
+}
+#: SHA-256 of ``.data``'s sorted items, the same per-(collection, k)
+#: aggregates in all three tables.
+GOLDEN_PROPERTY_DATA = "52d9a472a8f15f4331aebf2891a6c33a2b4b1ec5103c321a03ffdbbc2351556f"
+
+
+class TestTables5to7Golden:
+    @pytest.mark.parametrize("table", [table5, table6, table7], ids=lambda t: t.__name__)
+    def test_tiny_tables_unchanged(self, table):
+        result = table(scale="tiny", k_values=DEFAULT_K_VALUES)
+        assert _digest(result.text) == GOLDEN_PROPERTY_TEXT[result.name]
+        assert _digest(sorted(result.data.items())) == GOLDEN_PROPERTY_DATA
 
 
 class TestFigures:
