@@ -15,8 +15,8 @@ Package layout
   degeneracy, coloring, generators, I/O);
 * :mod:`repro.core` — the kDC solver, branching rule, reduction rules,
   upper bounds, heuristics, and complexity analysis;
-* :mod:`repro.baselines` — MADEC+-style, KDBB-style, maximum-clique and
-  brute-force reference solvers;
+* :mod:`repro.baselines` — MADEC+-style, KDBB-style and brute-force
+  reference solvers (the maximum clique is kDC at ``k = 0``);
 * :mod:`repro.extensions` — top-r and diversified variants (paper Section 6);
 * :mod:`repro.analysis` — properties of maximum k-defective cliques;
 * :mod:`repro.dynamic` — edge-delta updates, incremental re-solve, and
@@ -25,14 +25,7 @@ Package layout
 * :mod:`repro.bench` — experiment drivers for every table and figure.
 """
 
-from .baselines import (
-    KDBBSolver,
-    MADECSolver,
-    MaxCliqueSolver,
-    brute_force_maximum_defective_clique,
-    maximum_clique,
-    maximum_clique_size,
-)
+from .baselines import KDBBSolver, MADECSolver, brute_force_maximum_defective_clique
 from .core import (
     KDCSolver,
     SearchStats,
@@ -45,6 +38,8 @@ from .core import (
     gamma,
     is_k_defective_clique,
     is_maximal_k_defective_clique,
+    maximum_clique,
+    maximum_clique_size,
     maximum_defective_clique_size,
     missing_edge_count,
     sigma,
@@ -86,6 +81,8 @@ __all__ = [
     "SearchStats",
     "find_maximum_defective_clique",
     "maximum_defective_clique_size",
+    "maximum_clique",
+    "maximum_clique_size",
     "variant_config",
     "VARIANT_NAMES",
     "is_k_defective_clique",
@@ -98,9 +95,6 @@ __all__ = [
     # baselines
     "KDBBSolver",
     "MADECSolver",
-    "MaxCliqueSolver",
-    "maximum_clique",
-    "maximum_clique_size",
     "brute_force_maximum_defective_clique",
     # dynamic graphs
     "EdgeDelta",

@@ -2,12 +2,13 @@
 
 * :class:`MADECSolver` — MADEC+-style branch and bound (original coloring bound).
 * :class:`KDBBSolver` — KDBB-style branch and bound (degree-sequence bound + preprocessing).
-* :class:`MaxCliqueSolver` — exact maximum clique (for the Table 5–6 analyses).
 * :func:`brute_force_maximum_defective_clique` — exhaustive ground truth for tests.
 
 MADEC and KDBB are :class:`~repro.core.solver.KDCSolver` subclasses on the
 set backend that run kDC's prepare and branch-and-bound with their own
-per-node reductions, bound and branching rule.
+per-node reductions, bound and branching rule.  The paper ran MC-BRB only
+for each graph's maximum clique size (Tables 5 and 6); here that is kDC at
+``k = 0`` (:func:`repro.core.maximum_clique`), so no clique solver is kept.
 """
 
 from .brute_force import (
@@ -17,14 +18,10 @@ from .brute_force import (
 )
 from .kdbb import KDBBSolver
 from .madec import MADECSolver
-from .max_clique import MaxCliqueSolver, maximum_clique, maximum_clique_size
 
 __all__ = [
     "MADECSolver",
     "KDBBSolver",
-    "MaxCliqueSolver",
-    "maximum_clique",
-    "maximum_clique_size",
     "brute_force_maximum_defective_clique",
     "brute_force_maximum_size",
     "enumerate_defective_cliques",

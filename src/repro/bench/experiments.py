@@ -14,10 +14,10 @@ minutes; every scale knob can be overridden.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.properties import DefectiveCliqueProperties, aggregate_properties, analyze_graph
-from ..core.config import variant_config
+from ..analysis.properties import DefectiveCliqueProperties, _analyze_k_values, aggregate_properties
+from ..core.config import SolverConfig, variant_config
 from ..core.prepared import prepare_instance
 from ..core.solver import KDCSolver
 from ..datasets.collections import DatasetInstance, all_collections, get_collection
@@ -193,21 +193,45 @@ def table4(
 # --------------------------------------------------------------------------- #
 # Tables 5, 6, 7: properties of the maximum k-defective clique
 # --------------------------------------------------------------------------- #
-def _property_records(
+def _property_table(
+    name: str,
+    description: str,
+    title: str,
+    columns: Sequence[Tuple[str, Callable[[Dict[str, float]], object]]],
     scale: str,
     k_values: Sequence[int],
     time_limit: float,
-) -> Dict[str, Dict[int, List[DefectiveCliqueProperties]]]:
-    out: Dict[str, Dict[int, List[DefectiveCliqueProperties]]] = {}
+) -> ExperimentResult:
+    """The body of Tables 5–7: one row per k, ``columns`` per collection.
+
+    Each column is a header template (``{}`` takes the collection name) and
+    the cell it reads from the collection's aggregate at that k.  Every
+    instance's maximum clique is solved once, not once per k.
+    """
+    solver = KDCSolver(SolverConfig(time_limit=time_limit))
+    headers = ["k"]
+    records: Dict[str, Dict[int, List[DefectiveCliqueProperties]]] = {}
     for collection_name, instances in all_collections(scale=scale).items():
-        per_k: Dict[int, List[DefectiveCliqueProperties]] = {}
-        for k in k_values:
-            per_k[k] = [
-                analyze_graph(inst.graph, k, graph_name=inst.name, time_limit=time_limit)
-                for inst in instances
-            ]
-        out[collection_name] = per_k
-    return out
+        headers.extend(header.format(collection_name) for header, _ in columns)
+        per_k = records[collection_name] = {k: [] for k in k_values}
+        for inst in instances:
+            for record in _analyze_k_values(solver, inst.graph, k_values, inst.name):
+                per_k[record.k].append(record)
+    rows = []
+    data: Dict[str, object] = {}
+    for k in k_values:
+        row: List[object] = [k]
+        for collection_name, per_k in records.items():
+            agg = aggregate_properties(per_k[k])
+            row.extend(cell(agg) for _, cell in columns)
+            data[f"{collection_name}/k={k}"] = agg
+        rows.append(row)
+    return ExperimentResult(
+        name=name,
+        description=description,
+        text=format_table(headers, rows, title=title),
+        data=data,
+    )
 
 
 def table5(
@@ -216,25 +240,12 @@ def table5(
     time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> ExperimentResult:
     """Reproduce Table 5: ratio of maximum k-defective clique size over maximum clique size."""
-    records = _property_records(scale, k_values, time_limit)
-    rows = []
-    data: Dict[str, object] = {}
-    for k in k_values:
-        row: List[object] = [k]
-        for collection_name in records:
-            agg = aggregate_properties(records[collection_name][k])
-            row.extend([agg["avg_ratio"], agg["max_ratio"]])
-            data[f"{collection_name}/k={k}"] = agg
-        rows.append(row)
-    headers = ["k"]
-    for collection_name in records:
-        headers.extend([f"{collection_name} avg", f"{collection_name} max"])
-    text = format_table(headers, rows, title="Table 5 — max k-defective clique size / max clique size")
-    return ExperimentResult(
-        name="table5",
-        description="Size ratio of maximum k-defective clique over maximum clique",
-        text=text,
-        data=data,
+    return _property_table(
+        "table5",
+        "Size ratio of maximum k-defective clique over maximum clique",
+        "Table 5 — max k-defective clique size / max clique size",
+        [("{} avg", lambda agg: agg["avg_ratio"]), ("{} max", lambda agg: agg["max_ratio"])],
+        scale, k_values, time_limit,
     )
 
 
@@ -244,23 +255,12 @@ def table6(
     time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> ExperimentResult:
     """Reproduce Table 6: graphs whose maximum k-defective clique extends a maximum clique."""
-    records = _property_records(scale, k_values, time_limit)
-    rows = []
-    data: Dict[str, object] = {}
-    for k in k_values:
-        row: List[object] = [k]
-        for collection_name in records:
-            agg = aggregate_properties(records[collection_name][k])
-            row.append(f"{agg['num_extending_max_clique']}/{agg['count']}")
-            data[f"{collection_name}/k={k}"] = agg
-        rows.append(row)
-    headers = ["k"] + [name for name in records]
-    text = format_table(headers, rows, title="Table 6 — maximum k-defective clique extends a maximum clique")
-    return ExperimentResult(
-        name="table6",
-        description="Number of graphs whose maximum k-defective clique contains a maximum clique",
-        text=text,
-        data=data,
+    return _property_table(
+        "table6",
+        "Number of graphs whose maximum k-defective clique contains a maximum clique",
+        "Table 6 — maximum k-defective clique extends a maximum clique",
+        [("{}", lambda agg: f"{agg['num_extending_max_clique']}/{agg['count']}")],
+        scale, k_values, time_limit,
     )
 
 
@@ -270,23 +270,12 @@ def table7(
     time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> ExperimentResult:
     """Reproduce Table 7: average % of vertices not fully connected inside the maximum k-defective clique."""
-    records = _property_records(scale, k_values, time_limit)
-    rows = []
-    data: Dict[str, object] = {}
-    for k in k_values:
-        row: List[object] = [k]
-        for collection_name in records:
-            agg = aggregate_properties(records[collection_name][k])
-            row.append(agg["avg_pct_not_fully_connected"])
-            data[f"{collection_name}/k={k}"] = agg
-        rows.append(row)
-    headers = ["k"] + [f"{name} (%)" for name in records]
-    text = format_table(headers, rows, title="Table 7 — vertices with missing neighbours in the maximum k-defective clique")
-    return ExperimentResult(
-        name="table7",
-        description="Average percentage of not-fully-connected vertices in the maximum k-defective clique",
-        text=text,
-        data=data,
+    return _property_table(
+        "table7",
+        "Average percentage of not-fully-connected vertices in the maximum k-defective clique",
+        "Table 7 — vertices with missing neighbours in the maximum k-defective clique",
+        [("{} (%)", lambda agg: agg["avg_pct_not_fully_connected"])],
+        scale, k_values, time_limit,
     )
 
 

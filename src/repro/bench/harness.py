@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace as dataclass_replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..baselines.kdbb import KDBBSolver
 from ..baselines.madec import MADECSolver
@@ -216,7 +216,6 @@ def run_collection(
     instances: Iterable[DatasetInstance],
     k_values: Sequence[int],
     time_limit: Optional[float],
-    progress: Optional[Callable[[InstanceRecord], None]] = None,
 ) -> List[InstanceRecord]:
     """Run every algorithm on every instance for every ``k``; return all records.
 
@@ -230,8 +229,6 @@ def run_collection(
         Values of ``k`` to test (the paper uses {1, 3, 5, 10, 15, 20}).
     time_limit:
         Per-run wall-clock budget in seconds (``None`` = unlimited).
-    progress:
-        Optional callback invoked with each finished record.
     """
     records: List[InstanceRecord] = []
     instances = list(instances)
@@ -248,8 +245,6 @@ def run_collection(
                     instance=inst.name,
                 )
                 records.append(record)
-                if progress is not None:
-                    progress(record)
     return records
 
 

@@ -241,36 +241,16 @@ class ExperimentStore:
         data["meta"] = json.loads(data.get("meta") or "{}")
         return data
 
-    def runs(self) -> List[Dict[str, object]]:
-        """Return every run row, oldest first."""
-        with self._lock:
-            rows = self._conn.execute("SELECT * FROM runs ORDER BY run_id").fetchall()
-        out = []
-        for row in rows:
-            data = dict(row)
-            data["meta"] = json.loads(data.get("meta") or "{}")
-            out.append(data)
-        return out
+    def latest_run(self) -> Optional[int]:
+        """Return the newest run that recorded at least one cell, or ``None``.
 
-    def latest_run(self, label: Optional[str] = None, with_cells: bool = False) -> Optional[int]:
-        """Return the most recent run id (optionally filtered), or ``None``.
-
-        ``with_cells`` restricts the search to runs that recorded at least
-        one experiment row — what ``experiments export`` picks by default.
+        This is the run ``experiments export`` picks by default.
         """
-        query = "SELECT run_id FROM runs"
-        clauses, params = [], []
-        if label is not None:
-            clauses.append("label = ?")
-            params.append(label)
-        if with_cells:
-            clauses.append("run_id IN (SELECT DISTINCT run_id FROM experiments)")
-        if clauses:
-            query += " WHERE " + " AND ".join(clauses)
-        query += " ORDER BY run_id DESC LIMIT 1"
         with self._lock:
-            row = self._conn.execute(query, params).fetchone()
-        return int(row["run_id"]) if row is not None else None
+            row = self._conn.execute(
+                "SELECT MAX(run_id) AS run_id FROM experiments"
+            ).fetchone()
+        return int(row["run_id"]) if row["run_id"] is not None else None
 
     def find_resumable(self, spec_digest: str) -> Optional[int]:
         """Return the newest non-complete run executing ``spec_digest``, if any.
@@ -307,18 +287,13 @@ class ExperimentStore:
         keyfields: Dict[str, object],
         resultfields: Dict[str, object],
         extra: Optional[Dict[str, object]] = None,
-        on_conflict: str = "replace",
     ) -> int:
         """Insert one completed cell; returns its ``experiment_id``.
 
         ``node_throughput`` is derived (``nodes / elapsed_seconds``) when not
-        supplied and derivable.  ``on_conflict`` controls what a duplicate
-        ``(run_id, *keyfields)`` does: ``"replace"`` (default — re-measuring
-        a cell keeps the latest row) or ``"fail"`` (checkpointed campaigns
-        treat a duplicate as a programming error).
+        supplied and derivable.  A duplicate ``(run_id, *keyfields)``
+        replaces the earlier row: re-measuring a cell keeps the latest.
         """
-        if on_conflict not in ("replace", "fail"):
-            raise InvalidParameterError("on_conflict must be 'replace' or 'fail'")
         key = self._cell_key(keyfields)
         results = dict(resultfields)
         if results.get("node_throughput") is None:
@@ -331,10 +306,9 @@ class ExperimentStore:
         for i, name in enumerate(RESULTFIELDS):
             if name in ("optimal", "cache_hit") and values[i] is not None:
                 values[i] = int(bool(values[i]))
-        verb = "INSERT OR REPLACE" if on_conflict == "replace" else "INSERT"
         with self._lock:
             cur = self._conn.execute(
-                f"{verb} INTO experiments (run_id, collection, instance, k, algorithm,"
+                "INSERT OR REPLACE INTO experiments (run_id, collection, instance, k, algorithm,"
                 " backend, engine, workers, size, optimal, nodes, elapsed_seconds,"
                 " node_throughput, prepare_ms, queue_ms, solve_ms, cache_hit, extra,"
                 " created_unix) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
@@ -354,16 +328,6 @@ class ExperimentStore:
                 (run_id, *key),
             ).fetchone()
         return row is not None
-
-    def cells(self, run_id: int) -> List[Tuple[object, ...]]:
-        """Return the keyfield tuples of every cell recorded by ``run_id``."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT collection, instance, k, algorithm, backend, engine, workers"
-                " FROM experiments WHERE run_id = ? ORDER BY experiment_id",
-                (run_id,),
-            ).fetchall()
-        return [tuple(r) for r in rows]
 
     def rows(self, run_id: Optional[int] = None) -> List[Dict[str, object]]:
         """Return experiment rows (all runs, or one run) as plain dicts."""

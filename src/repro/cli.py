@@ -475,7 +475,7 @@ def _cmd_experiments_export(args: argparse.Namespace) -> int:
     with ExperimentStore(args.db) as store:
         run_id = args.run
         if run_id is None:
-            run_id = store.latest_run(with_cells=True)
+            run_id = store.latest_run()
         if run_id is None:
             raise ReproError(f"no runs with recorded cells in {args.db}")
         payload = store.export_run(run_id)

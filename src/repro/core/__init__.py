@@ -58,12 +58,20 @@ from .reductions import (
     preprocess_graph,
 )
 from .result import SearchStats, SolveResult
-from .solver import KDCSolver, find_maximum_defective_clique, maximum_defective_clique_size
+from .solver import (
+    KDCSolver,
+    find_maximum_defective_clique,
+    maximum_clique,
+    maximum_clique_size,
+    maximum_defective_clique_size,
+)
 
 __all__ = [
     "KDCSolver",
     "find_maximum_defective_clique",
     "maximum_defective_clique_size",
+    "maximum_clique",
+    "maximum_clique_size",
     "SolverConfig",
     "variant_config",
     "VARIANT_NAMES",

@@ -10,6 +10,9 @@ Two public entry points are provided:
 * :func:`find_maximum_defective_clique` — a convenience function for one-off
   calls.
 
+A 0-defective clique is a clique, so :func:`maximum_clique` and
+:func:`maximum_clique_size` are kDC at ``k = 0``.
+
 The solver is exact: unless a time or node budget interrupts it, the returned
 set is a maximum k-defective clique and ``result.optimal`` is ``True``.
 
@@ -86,7 +89,13 @@ from .prepared import PreparedInstance, prepare_instance
 from .reductions import apply_reductions
 from .result import SearchStats, SolveResult
 
-__all__ = ["KDCSolver", "find_maximum_defective_clique", "maximum_defective_clique_size"]
+__all__ = [
+    "KDCSolver",
+    "find_maximum_defective_clique",
+    "maximum_defective_clique_size",
+    "maximum_clique",
+    "maximum_clique_size",
+]
 
 #: Largest instance the *whole-graph* bitset search will accept: n adjacency
 #: rows of n bits is O(n²/8) bytes, so when the degeneracy decomposition
@@ -516,3 +525,13 @@ def find_maximum_defective_clique(
 def maximum_defective_clique_size(graph: Graph, k: int, **kwargs) -> int:
     """Return only the size of a maximum k-defective clique of ``graph``."""
     return find_maximum_defective_clique(graph, k, **kwargs).size
+
+
+def maximum_clique(graph: Graph, time_limit: Optional[float] = None) -> List[Vertex]:
+    """Return a maximum clique of ``graph`` (a maximum 0-defective clique) as vertex labels."""
+    return find_maximum_defective_clique(graph, 0, time_limit=time_limit).clique
+
+
+def maximum_clique_size(graph: Graph, time_limit: Optional[float] = None) -> int:
+    """Return the maximum clique size ω(G)."""
+    return len(maximum_clique(graph, time_limit=time_limit))

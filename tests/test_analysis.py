@@ -12,6 +12,7 @@ from repro.analysis import (
     fraction_not_fully_connected,
     size_ratio,
 )
+from repro.core import SolverConfig
 from repro.graphs import Graph, complete_graph, cycle_graph, gnp_random_graph
 
 
@@ -74,6 +75,15 @@ class TestAnalyzeGraph:
         record = analyze_graph(g, 2)
         assert record.size_ratio >= 1.0
         assert 0.0 <= record.fraction_not_fully_connected <= 1.0
+
+    def test_one_budget_covers_every_solve(self):
+        g = gnp_random_graph(120, 0.3, seed=4)
+        # ``config``'s budget (none) overrides ``time_limit`` for ω too.
+        record = analyze_graph(g, 2, config=SolverConfig(), time_limit=1e-6)
+        assert record.max_clique_size == 7
+        assert record.max_defective_clique_size == 8
+        assert record.solved
+        assert not analyze_graph(g, 2, time_limit=1e-6).solved
 
 
 class TestAggregation:

@@ -1,4 +1,4 @@
-"""Tests for the baseline solvers (KDBB-style, MADEC+-style, max clique, brute force)."""
+"""Tests for the baseline solvers (KDBB-style, MADEC+-style, brute force) and kDC's maximum clique."""
 
 from __future__ import annotations
 
@@ -11,14 +11,18 @@ import pytest
 from repro.baselines import (
     KDBBSolver,
     MADECSolver,
-    MaxCliqueSolver,
     brute_force_maximum_defective_clique,
     brute_force_maximum_size,
     enumerate_defective_cliques,
+)
+from repro.core import (
+    KDCSolver,
+    VARIANT_NAMES,
+    is_k_defective_clique,
     maximum_clique,
     maximum_clique_size,
+    variant_config,
 )
-from repro.core import KDCSolver, VARIANT_NAMES, is_k_defective_clique, variant_config
 from repro.exceptions import InvalidParameterError
 from repro.graphs import (
     Graph,
@@ -92,9 +96,9 @@ class TestMaxClique:
             assert maximum_clique_size(g) == brute_force_maximum_size(g, 0)
 
     def test_figure2(self, fig2):
-        result = MaxCliqueSolver().solve(fig2)
-        assert result.size == 5
-        assert result.algorithm == "MaxClique"
+        clique = maximum_clique(fig2)
+        assert len(clique) == 5
+        assert fig2.is_clique(clique)
 
 
 class TestKDBBAndMADEC:

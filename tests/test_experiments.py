@@ -14,6 +14,7 @@ import pytest
 
 from repro.bench import (
     EXPERIMENTS,
+    experiments,
     figure7,
     figure8,
     run_experiment,
@@ -25,6 +26,8 @@ from repro.bench import (
     table7,
 )
 from repro.bench.experiments import DEFAULT_K_VALUES
+from repro.core import KDCSolver
+from repro.datasets import all_collections
 
 
 class TestTable2:
@@ -106,6 +109,28 @@ class TestTables5to7Golden:
         result = table(scale="tiny", k_values=DEFAULT_K_VALUES)
         assert _digest(result.text) == GOLDEN_PROPERTY_TEXT[result.name]
         assert _digest(sorted(result.data.items())) == GOLDEN_PROPERTY_DATA
+
+    def test_maximum_clique_solved_once_per_instance(self, monkeypatch):
+        instance_graphs = []
+
+        def collections(scale):
+            found = all_collections(scale=scale)
+            instance_graphs.extend(inst.graph for insts in found.values() for inst in insts)
+            return found
+
+        solves = []
+        solve = KDCSolver.solve
+
+        def counting_solve(self, graph, k, **kwargs):
+            solves.append((graph, k))
+            return solve(self, graph, k, **kwargs)
+
+        monkeypatch.setattr(experiments, "all_collections", collections)
+        monkeypatch.setattr(KDCSolver, "solve", counting_solve)
+        table5(scale="tiny", k_values=(1, 2))
+        whole_graph_k0 = [id(g) for g, k in solves if k == 0 and any(g is h for h in instance_graphs)]
+        assert len(whole_graph_k0) == len(instance_graphs) == 11
+        assert set(whole_graph_k0) == {id(h) for h in instance_graphs}
 
 
 class TestFigures:

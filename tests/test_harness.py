@@ -71,13 +71,6 @@ class TestRunCollection:
         assert len(records) == len(instances) * len(algorithms) * len(k_values)
         assert {r.algorithm for r in records} == set(algorithms)
 
-    def test_progress_callback(self):
-        instances = get_collection("dimacs_snap_like", scale="tiny")[:1]
-        seen = []
-        run_collection(("kDC",), instances, (1,), time_limit=5.0, progress=seen.append)
-        assert len(seen) == 1
-        assert isinstance(seen[0], InstanceRecord)
-
 
 class TestAggregation:
     def _record(self, algorithm, k, solved, elapsed=0.1):

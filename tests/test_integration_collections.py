@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import KDBBSolver, MADECSolver, MaxCliqueSolver
+from repro.baselines import KDBBSolver, MADECSolver
 from repro.core import find_maximum_defective_clique, is_k_defective_clique, is_maximal_k_defective_clique
 from repro.datasets import COLLECTION_NAMES, get_collection
+from repro.extensions import enumerate_maximal_defective_cliques
 
 K_VALUES = (1, 3)
 
@@ -50,7 +51,7 @@ def test_kdc_and_madec_agree_on_small_instances():
 def test_defective_clique_at_least_as_large_as_clique(k):
     for inst in _instances():
         graph = inst.graph
-        omega = MaxCliqueSolver(time_limit=30.0).solve(graph).size
+        omega = max(len(c) for c in enumerate_maximal_defective_cliques(graph, 0))
         size = find_maximum_defective_clique(graph, k, time_limit=30.0).size
         assert size >= omega, inst.name
         # Removing one endpoint of each of the <= k missing edges from a

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from repro.baselines import MaxCliqueSolver
+from repro.baselines import brute_force_maximum_size
 from repro.core import find_maximum_defective_clique, is_k_defective_clique
+from repro.extensions import enumerate_maximal_defective_cliques
 from repro.graphs import figure5_partition
 
 
@@ -11,7 +12,7 @@ class TestFigure1:
     """Figure 1: maximum clique 4; maximum k-defective clique 4 + k for k <= 4."""
 
     def test_maximum_clique_size(self, fig1):
-        assert MaxCliqueSolver().solve(fig1).size == 4
+        assert brute_force_maximum_size(fig1, 0) == 4
 
     def test_defective_clique_sizes(self, fig1):
         for k in range(0, 5):
@@ -30,9 +31,10 @@ class TestFigure2:
     """Figure 2: the 12-vertex running example."""
 
     def test_maximum_clique_is_right_block(self, fig2):
-        result = MaxCliqueSolver().solve(fig2)
-        assert result.size == 5
-        assert set(result.clique) == {8, 9, 10, 11, 12}
+        cliques = [set(c) for c in enumerate_maximal_defective_cliques(fig2, 0)]
+        omega = max(len(c) for c in cliques)
+        assert omega == 5
+        assert [c for c in cliques if len(c) == omega] == [{8, 9, 10, 11, 12}]
 
     def test_maximum_1_defective_size(self, fig2):
         assert find_maximum_defective_clique(fig2, 1).size == 5

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from repro.baselines import KDBBSolver, MADECSolver, MaxCliqueSolver
+from repro.baselines import KDBBSolver, MADECSolver
 from repro.bench.harness import make_solver, run_instance
 from repro.cli import main as cli_main
 from repro.core import (
@@ -197,17 +197,6 @@ class TestReentrancy:
         assert [r.size for r in results] == expected
         assert all(r.optimal for r in results)
 
-    def test_concurrent_max_clique_solves_on_shared_instance(self):
-        # MaxCliqueSolver.solve takes no k, so it has its own case.  Each
-        # graph takes tens of milliseconds, long enough for the threads to
-        # interleave inside one another's branch-and-bound.
-        solver = MaxCliqueSolver()
-        graphs = [gnp_random_graph(90 + 4 * s, 0.5, seed=s) for s in range(6)]
-        expected = [MaxCliqueSolver().solve(g).size for g in graphs]
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(solver.solve, graphs))
-        assert [r.size for r in results] == expected
-        assert all(r.optimal for r in results)
 
 
 class TestEgoSubproblemBuilder:

@@ -15,6 +15,7 @@ from repro.core import (
     variant_config,
 )
 from repro.datasets import get_collection
+from repro.extensions import enumerate_maximal_defective_cliques
 from repro.exceptions import InvalidParameterError
 from repro.graphs import (
     Graph,
@@ -49,9 +50,8 @@ class TestBasicCases:
 
     def test_k0_equals_maximum_clique(self):
         g = gnp_random_graph(20, 0.4, seed=1)
-        from repro.baselines import MaxCliqueSolver
-
-        assert find_maximum_defective_clique(g, 0).size == MaxCliqueSolver().solve(g).size
+        omega = max(len(c) for c in enumerate_maximal_defective_cliques(g, 0))
+        assert find_maximum_defective_clique(g, 0).size == omega
 
     def test_star_graph(self):
         g = star_graph(6)

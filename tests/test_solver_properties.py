@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.baselines import (
     KDBBSolver,
     MADECSolver,
-    MaxCliqueSolver,
     brute_force_maximum_defective_clique,
 )
 from repro.core import (
@@ -64,12 +63,6 @@ def test_solution_size_monotone_in_k(g, k):
     larger = find_maximum_defective_clique(g, k + 1).size
     assert smaller <= larger <= smaller + 1 + k + 1  # loose sanity bracket
     assert larger <= g.num_vertices
-
-
-@given(graphs())
-@settings(max_examples=30, deadline=None)
-def test_k0_equals_maximum_clique(g):
-    assert find_maximum_defective_clique(g, 0).size == MaxCliqueSolver().solve(g).size
 
 
 @given(graphs(), st.integers(min_value=0, max_value=3))
