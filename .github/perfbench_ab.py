@@ -4,12 +4,16 @@ Usage::
 
     python3 .github/perfbench_ab.py PARENT_TREE CHANGE_TREE WORKLOAD
 
-PARENT_TREE must be a throwaway checkout of the parent commit, such as a
-``git worktree``: the script overwrites its ``perfbench/`` and
-``BENCHMARK.json`` with the change's, so both sides run identical benchmark
-code.  Both sides then run ``perfbench/run.py --trace 0`` for
-``BENCHMARK.json``'s ``run_seconds`` on the same fixed seeds, alternating
-which side runs first.
+PARENT_TREE is a checkout of the parent commit and CHANGE_TREE one of the
+change; the script writes to neither.  It first copies each tree once into
+a temporary directory, leaving out ``.git``, ``.perfbench_work/`` and the
+bytecode and test caches, so both sides start from the same kind of fresh
+tree whatever runs the checkouts have seen.  The parent copy's
+``perfbench/`` and ``BENCHMARK.json`` are then replaced with the change's,
+so both sides run identical benchmark code.  Both copies run
+``perfbench/run.py --trace 0`` for ``BENCHMARK.json``'s ``run_seconds`` on
+the same fixed seeds, alternating which side runs first, and the temporary
+directory is removed at the end.
 
 The verdict fails when any run is incorrect, when the change fails a larger
 share of its operations than the parent, or when an end-to-end metric is
@@ -28,6 +32,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from typing import List, Optional, Sequence, Tuple
 
 # One pair per seed.  In ten no-change pairs per workload no metric passed
@@ -38,12 +43,25 @@ SEEDS = (11, 12, 13, 14, 15)
 SIDES = ("parent", "change")
 
 
-def copy_benchmark(change: str, parent: str) -> None:
-    """Make the parent tree run the change's benchmark code."""
-    target = os.path.join(parent, "perfbench")
-    shutil.rmtree(target, ignore_errors=True)
-    shutil.copytree(os.path.join(change, "perfbench"), target)
-    shutil.copyfile(os.path.join(change, "BENCHMARK.json"), os.path.join(parent, "BENCHMARK.json"))
+#: Names left out of the tree copies, at any depth: version control, the
+#: benchmark's work directory, and bytecode and test caches.
+SKIPPED = (".git", ".perfbench_work", "__pycache__", ".pytest_cache", ".hypothesis")
+
+
+def fresh_copies(parent: str, change: str, scratch: str) -> dict:
+    """Copy both trees under ``scratch``, the parent copy with the change's
+    benchmark code; return the copies by side."""
+    ignore = shutil.ignore_patterns(*SKIPPED)
+    trees = {}
+    for side, tree in zip(SIDES, (parent, change)):
+        trees[side] = os.path.join(scratch, side)
+        shutil.copytree(tree, trees[side], symlinks=True, ignore=ignore)
+    target = os.path.join(trees["parent"], "perfbench")
+    shutil.rmtree(target)
+    shutil.copytree(os.path.join(trees["change"], "perfbench"), target)
+    shutil.copyfile(os.path.join(trees["change"], "BENCHMARK.json"),
+                    os.path.join(trees["parent"], "BENCHMARK.json"))
+    return trees
 
 
 def run_once(spec: dict, tree: str, workload: str, seed: int) -> str:
@@ -114,7 +132,7 @@ def verdict(spec: dict, pairs: Sequence[Tuple[str, str]]) -> Tuple[bool, List[st
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent_tree", help="throwaway checkout of the parent commit")
+    parser.add_argument("parent_tree", help="checkout of the parent commit")
     parser.add_argument("change_tree", help="checkout of the change")
     parser.add_argument("workload", help="a workload named in BENCHMARK.json")
     args = parser.parse_args(argv)
@@ -126,17 +144,17 @@ def main(argv=None) -> int:
     if os.path.realpath(args.parent_tree) == os.path.realpath(args.change_tree):
         parser.error("PARENT_TREE and CHANGE_TREE must be two directories")
 
-    copy_benchmark(args.change_tree, args.parent_tree)
-    trees = dict(zip(SIDES, (args.parent_tree, args.change_tree)))
     print(f"perfbench A/B on {args.workload}: {len(SEEDS)} pairs, seeds {SEEDS},"
           f" {spec['run_seconds']} s per run", flush=True)
     pairs = []
-    for i, seed in enumerate(SEEDS):
-        lines = {}
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            lines[side] = run_once(spec, trees[side], args.workload, seed)
-            print(f"pair {i + 1} seed {seed} {side}: {lines[side] or '(no result)'}", flush=True)
-        pairs.append((lines["parent"], lines["change"]))
+    with tempfile.TemporaryDirectory(prefix="perfbench-ab-") as scratch:
+        trees = fresh_copies(args.parent_tree, args.change_tree, scratch)
+        for i, seed in enumerate(SEEDS):
+            lines = {}
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                lines[side] = run_once(spec, trees[side], args.workload, seed)
+                print(f"pair {i + 1} seed {seed} {side}: {lines[side] or '(no result)'}", flush=True)
+            pairs.append((lines["parent"], lines["change"]))
     passed, report = verdict(spec, pairs)
     print("\n".join(report))
     return 0 if passed else 1

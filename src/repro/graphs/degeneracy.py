@@ -9,12 +9,16 @@ The peel reads adjacency rows (:data:`~repro.graphs.graph.Rows`), so it runs
 unchanged on a :class:`~repro.graphs.graph.Graph`, on the integer rows of the
 prepare pipeline and on the ego nets of Degen-opt.  Ties follow the rows'
 iteration order: the vertex order of the dict, then each neighbour set's.
+A removed vertex is marked by the degree sentinel -1 rather than kept in a
+set of its own: a removed vertex's bucket entries never match its degree,
+and a live neighbour of the vertex being removed always has degree at
+least 1, so one dict read answers both questions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Union
+from typing import Dict, List, Union
 
 from .graph import Graph, Rows, Vertex, rows_of
 
@@ -94,7 +98,6 @@ def degeneracy_ordering(graph: Union[Graph, Rows]) -> DegeneracyResult:
     for v, d in degree.items():
         buckets[d].append(v)
 
-    removed: Set[Vertex] = set()
     core_number: Dict[Vertex, int] = {}
     ordering: List[Vertex] = []
     degeneracy_value = 0
@@ -104,17 +107,18 @@ def degeneracy_ordering(graph: Union[Graph, Rows]) -> DegeneracyResult:
         while d <= max_degree and not buckets[d]:
             d += 1
         v = buckets[d].pop()
-        if v in removed or degree[v] != d:
-            continue  # stale bucket entry
+        if degree[v] != d:
+            continue  # stale bucket entry, or v already removed
 
-        removed.add(v)
+        degree[v] = -1
         degeneracy_value = max(degeneracy_value, d)
         core_number[v] = degeneracy_value
         ordering.append(v)
 
         for u in rows[v]:
-            if u not in removed:
-                du = degree[u] - 1
+            du = degree[u]
+            if du > 0:
+                du -= 1
                 degree[u] = du
                 buckets[du].append(u)
                 if du < d:

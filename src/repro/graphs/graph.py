@@ -180,6 +180,23 @@ class Graph:
         """Return the edgeless graph on vertices ``0 .. n-1``."""
         return cls(vertices=range(n))
 
+    @classmethod
+    def _from_rows(cls, rows: Rows, num_edges: int) -> "Graph":
+        """A graph that takes over ``rows`` as its own, all of them owned.
+
+        ``rows`` must be symmetric and loop-free, hold ``num_edges`` edges
+        and be shared with nothing else.  The graph keeps them as given, so
+        it iterates in their vertex and neighbour order.  The readers of
+        :mod:`repro.graphs.io`, :meth:`subgraph` and :meth:`relabel` build
+        graphs through this, so no other module writes a graph's rows.
+        """
+        g = cls.__new__(cls)
+        g._adj = rows
+        g._num_edges = num_edges
+        g._digest_sum = None
+        g._owned = None
+        return g
+
     def copy(self) -> "Graph":
         """Return an independent copy of the graph in O(n).
 
@@ -530,12 +547,8 @@ class Graph:
         for v in keep:
             if v not in self._adj:
                 raise VertexNotFoundError(v)
-        g = Graph.__new__(Graph)
-        g._adj = {v: self._adj[v] & keep for v in keep}
-        g._num_edges = sum(len(nbrs) for nbrs in g._adj.values()) // 2
-        g._digest_sum = None
-        g._owned = None
-        return g
+        rows = {v: self._adj[v] & keep for v in keep}
+        return Graph._from_rows(rows, sum(map(len, rows.values())) // 2)
 
     def relabel(self) -> Tuple["Graph", Dict[Vertex, int], List[Vertex]]:
         """Relabel vertices to contiguous integers ``0 .. n-1``.
@@ -549,14 +562,8 @@ class Graph:
         """
         to_label = list(self._adj)
         to_int = {label: i for i, label in enumerate(to_label)}
-        g = Graph.__new__(Graph)
-        g._adj = {
-            to_int[v]: {to_int[u] for u in nbrs} for v, nbrs in self._adj.items()
-        }
-        g._num_edges = self._num_edges
-        g._digest_sum = None
-        g._owned = None
-        return g, to_int, to_label
+        rows = {to_int[v]: {to_int[u] for u in nbrs} for v, nbrs in self._adj.items()}
+        return Graph._from_rows(rows, self._num_edges), to_int, to_label
 
     def complement(self) -> "Graph":
         """Return the complement graph on the same vertex set."""

@@ -8,21 +8,35 @@ Supported formats
 * **DIMACS** (``.clq``, ``.col``, ``.dimacs``): ``p edge n m`` header and
   ``e u v`` edge lines with 1-based vertex ids, the classic clique-benchmark
   format.
-* **METIS** (``.graph``, ``.metis``): first line ``n m``, then line ``i``
-  lists the (1-based) neighbours of vertex ``i`` — the format used by the
-  DIMACS10 collection.
+* **METIS** (``.graph``, ``.metis``): header ``n m [fmt [ncon]]``, then line
+  ``i`` lists the (1-based) neighbours of vertex ``i`` — the format used by
+  the DIMACS10 collection.  Vertex sizes and weights and edge weights that
+  ``fmt`` declares are skipped.
 
 All readers return a :class:`~repro.graphs.graph.Graph` whose vertices are
 integers, and all writers accept any graph (labels are written with ``str``).
+A file that does not parse raises
+:class:`~repro.exceptions.GraphFormatError`, naming the line where the file
+has one, never a bare ``ValueError``.
+
+The edge-list reader is the first layer of a cold solve, so it reads in one
+tight loop: each distinct token is turned into its label once, and the rows
+are built in place and handed to the graph whole
+(``Graph._from_rows``).  Its rows are exactly the ones ``Graph.add_edge``
+over the file's edges would build, vertex order, neighbour insertion order
+and so set layout included.  That layout is part of the output: prepare
+relabels the graph in its iteration order and the degeneracy order breaks
+ties by it, so a reader that built the same edge set in another order
+would change search trees (``tests/test_io_golden.py`` pins the rows).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, List, TextIO, Union
+from typing import Dict, List, TextIO, Tuple, Union
 
 from ..exceptions import GraphFormatError
-from .graph import Graph
+from .graph import Graph, Rows, Vertex
 
 __all__ = [
     "read_edge_list",
@@ -48,37 +62,74 @@ def read_edge_list(path: PathLike, comments: str = "#%") -> Graph:
     otherwise.  Self-loops and duplicate edges are ignored, matching how the
     paper's benchmark loaders sanitise raw repository data.  The
     ``# isolated: ...`` header emitted by :func:`write_edge_list` is parsed
-    back, so edge-list round-trips preserve degree-0 vertices.
+    back, so edge-list round-trips preserve degree-0 vertices.  Tokens after
+    the second on a line are ignored.
     """
-    graph = Graph()
     with open(path, "r", encoding="utf-8") as handle:
-        _parse_edge_lines(handle, graph, comments)
-    return graph
+        rows, num_edges = _read_edge_rows(handle, comments)
+    return Graph._from_rows(rows, num_edges)
 
 
-def _parse_edge_lines(handle: TextIO, graph: Graph, comments: str) -> None:
+def _read_edge_rows(handle: TextIO, comments: str) -> Tuple[Rows, int]:
+    """The rows and edge count of an edge list, in one pass over its lines.
+
+    The rows come out exactly as ``Graph.add_edge`` over the file's edges
+    would build them: a vertex enters at its first edge or ``isolated:``
+    header, and each row receives its neighbours in file order, so every
+    row set has the same layout and iterates in the same order.
+
+    Each distinct token is turned into its label once and cached.  The
+    cache never holds a token that starts a comment, so a hit on a line's
+    first token proves the line is an edge, and only a miss needs the
+    comment test.
+    """
+    rows: Rows = {}
+    labels: Dict[str, Vertex] = {}
+    num_edges = 0
     for lineno, line in enumerate(handle, start=1):
-        stripped = line.strip()
-        if not stripped or stripped[0] in comments:
-            _parse_isolated_header(stripped, graph, comments)
-            continue
-        parts = stripped.split()
-        if len(parts) < 2:
-            raise GraphFormatError(f"line {lineno}: expected two vertex ids, got {stripped!r}")
-        u, v = _coerce(parts[0]), _coerce(parts[1])
+        parts = line.split()
+        try:
+            a = parts[0]
+            b = parts[1]
+        except IndexError:
+            if not parts:
+                continue
+            if a[0] in comments:
+                _add_isolated(rows, line.strip(), comments)
+                continue
+            raise GraphFormatError(f"line {lineno}: expected two vertex ids, got {a!r}") from None
+        u = labels.get(a)
+        if u is None:
+            if a[0] in comments:
+                _add_isolated(rows, line.strip(), comments)
+                continue
+            u = labels[a] = _coerce(a)
+        v = labels.get(b)
+        if v is None:
+            v = _coerce(b)
+            if b[0] not in comments:
+                labels[b] = v
         if u == v:
             continue  # drop self-loops from raw data
-        graph.add_edge(u, v)
+        row_u = rows.get(u)
+        if row_u is None:
+            row_u = rows[u] = set()
+        row_v = rows.get(v)
+        if row_v is None:
+            row_v = rows[v] = set()
+        if v not in row_u:
+            row_u.add(v)
+            row_v.add(u)
+            num_edges += 1
+    return rows, num_edges
 
 
-def _parse_isolated_header(stripped: str, graph: Graph, comments: str) -> None:
-    """Recover isolated vertices from a ``# isolated: ...`` comment line."""
-    if not stripped:
-        return
+def _add_isolated(rows: Rows, stripped: str, comments: str) -> None:
+    """Add the vertices of a ``# isolated: ...`` comment line that are not yet in ``rows``."""
     body = stripped.lstrip(comments).strip()
     if body.startswith("isolated:"):
         for token in body[len("isolated:"):].split():
-            graph.add_vertex(_coerce(token))
+            rows.setdefault(_coerce(token), set())
 
 
 def _coerce(token: str) -> Union[int, str]:
@@ -86,6 +137,13 @@ def _coerce(token: str) -> Union[int, str]:
         return int(token)
     except ValueError:
         return token
+
+
+def _integer(token: str, lineno: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: {what} must be an integer, got {token!r}") from None
 
 
 def write_edge_list(graph: Graph, path: PathLike, header: bool = True) -> None:
@@ -116,7 +174,7 @@ def read_dimacs(path: PathLike) -> Graph:
             if parts[0] == "p":
                 if len(parts) < 4:
                     raise GraphFormatError(f"line {lineno}: malformed problem line {stripped!r}")
-                declared_n = int(parts[2])
+                declared_n = _integer(parts[2], lineno, "vertex count")
                 graph.add_vertices(range(declared_n))
             elif parts[0] == "e":
                 if len(parts) < 3:
@@ -125,7 +183,8 @@ def read_dimacs(path: PathLike) -> Graph:
                     raise GraphFormatError(
                         f"line {lineno}: edge line before the 'p edge' problem line"
                     )
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                u = _integer(parts[1], lineno, "edge endpoint") - 1
+                v = _integer(parts[2], lineno, "edge endpoint") - 1
                 if not (0 <= u < declared_n and 0 <= v < declared_n):
                     raise GraphFormatError(
                         f"line {lineno}: edge endpoint out of range 1..{declared_n}: {stripped!r}"
@@ -158,31 +217,57 @@ def read_metis(path: PathLike) -> Graph:
 
     Comment lines start with ``%``.  The adjacency line of an isolated vertex
     is blank, so blank lines are meaningful and are only skipped before the
-    header.
+    header.  The header is ``n m [fmt [ncon]]``; a ``fmt`` that declares
+    vertex sizes, vertex weights or edge weights has them skipped, so only
+    the neighbour ids are read.  The edges read must number the header's
+    ``m``.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle]
-    data = [line for line in lines if not line.lstrip().startswith("%")]
-    while data and not data[0].strip():
+        data = [
+            (lineno, line) for lineno, line in enumerate(handle, start=1)
+            if not line.lstrip().startswith("%")
+        ]
+    while data and not data[0][1].strip():
         data.pop(0)
     if not data:
         raise GraphFormatError("empty METIS file")
-    header = data[0].split()
+    lineno, line = data[0]
+    header = line.split()
     if len(header) < 2:
-        raise GraphFormatError(f"malformed METIS header {data[0]!r}")
-    n = int(header[0])
+        raise GraphFormatError(f"line {lineno}: malformed METIS header {line.strip()!r}")
+    n = _integer(header[0], lineno, "vertex count")
+    m = _integer(header[1], lineno, "edge count")
+    skip, stride = _metis_layout(header[2:], lineno)
     graph = Graph(vertices=range(n))
     if len(data) - 1 < n:
         raise GraphFormatError(f"METIS file declares {n} vertices but has {len(data) - 1} adjacency lines")
     for i in range(n):
-        for token in data[1 + i].split():
-            j = int(token) - 1
+        lineno, line = data[1 + i]
+        tokens = line.split()
+        if len(tokens) < skip or (len(tokens) - skip) % stride:
+            raise GraphFormatError(f"line {lineno}: adjacency line does not match the header's fmt")
+        for token in tokens[skip::stride]:
+            j = _integer(token, lineno, "neighbour id") - 1
             if j == i:
                 continue
             if not 0 <= j < n:
-                raise GraphFormatError(f"vertex index {j + 1} out of range on line {i + 2}")
+                raise GraphFormatError(f"line {lineno}: vertex index {j + 1} out of range 1..{n}")
             graph.add_edge(i, j)
+    if graph.num_edges != m:
+        raise GraphFormatError(f"METIS header declares {m} edges but the adjacency lines hold {graph.num_edges}")
     return graph
+
+
+def _metis_layout(fields: List[str], lineno: int) -> Tuple[int, int]:
+    """Leading tokens to skip and the stride to the next neighbour id, from ``[fmt [ncon]]``."""
+    fmt = fields[0] if fields else "0"
+    if len(fmt) > 3 or fmt.strip("01"):
+        raise GraphFormatError(f"line {lineno}: METIS fmt must be up to three 0/1 digits, got {fmt!r}")
+    sizes, vertex_weights, edge_weights = (digit == "1" for digit in fmt.zfill(3))
+    ncon = _integer(fields[1], lineno, "ncon") if vertex_weights and len(fields) > 1 else 1
+    if ncon < 1:
+        raise GraphFormatError(f"line {lineno}: METIS ncon must be at least 1, got {ncon}")
+    return int(sizes) + (ncon if vertex_weights else 0), 2 if edge_weights else 1
 
 
 def write_metis(graph: Graph, path: PathLike) -> None:

@@ -16,7 +16,10 @@ The peel runs in place on integer adjacency rows
   the C-level ``len(rows[u] & rows[v])`` and deletes every edge it counts
   below ``k - 2``, a row's worth at a time, with no per-edge bookkeeping.
   Supports only fall as edges go, so none of those edges can be in the
-  truss;
+  truss.  A vertex left with at most ``k - 2`` neighbours loses every edge
+  without a count, since each of its edges lies in at most ``deg - 1 <
+  k - 2`` triangles; the deletions cascade to neighbours that fall to that
+  degree, drop their swept supports and mark them touched;
 * **the queue peel** then handles only the survivors.  A survivor with an
   endpoint the sweep touched has its support counted again when it leaves
   the queue; any other survivor keeps its swept count, and each deletion
@@ -24,10 +27,22 @@ The peel runs in place on integer adjacency rows
 
 Both phases are still O(δ(G) · m).  On sparse inputs the sweep removes
 nearly every edge, so the peel, with its per-edge bookkeeping, sees only the
-few that remain.  :func:`truss_reduce_in_place`, which the solver's
-preprocessing calls, takes rows; :func:`k_truss_edges` and :func:`k_truss`
-take a :class:`~repro.graphs.graph.Graph`, relabel it and peel its integer
-rows.
+few that remain, and the cascade spares the sweep the counts of edges at
+vertices it has already stripped below the threshold.
+
+Neither the order of deletions nor the cascade can change the result.  The
+k-truss is unique, so any order of safe deletions ends at the same edge
+set, and the removed count is the same.  Every deletion is a ``discard``,
+which never resizes a set, so each surviving row keeps its table and
+iterates its survivors in the order it iterated them before the peel; the
+rows of emptied vertices are dropped in dict order.  That layout is what
+the degeneracy order's ties, and so every prepared artifact and search
+tree, depend on (``tests/test_kcore_truss.py`` checks it against a peel by
+the definition).
+
+:func:`truss_reduce_in_place`, which the solver's preprocessing calls,
+takes rows; :func:`k_truss_edges` and :func:`k_truss` take a
+:class:`~repro.graphs.graph.Graph`, relabel it and peel its integer rows.
 """
 
 from __future__ import annotations
@@ -114,8 +129,10 @@ def _sweep(
     Each edge is counted once, as ``(u, v)`` with ``u < v``.  A row's low
     edges go as soon as the row is done; later counts see them gone, which
     can only lower them, so an edge counted below the threshold is never in
-    the truss.  Deletion is by discard only: it never resizes a set, so the
-    rows keep the iteration order the degeneracy order's ties depend on.
+    the truss.  A vertex left with at most ``threshold`` neighbours loses
+    every edge uncounted (see :func:`_cascade`).  Deletion is by discard
+    only: it never resizes a set, so the rows keep the iteration order the
+    degeneracy order's ties depend on.
 
     Returns the swept supports of the surviving edges, the vertices that
     lost an edge, and the number of edges deleted.
@@ -125,6 +142,10 @@ def _sweep(
     removed = 0
     steps = 0
     for u, row in rows.items():
+        if len(row) <= threshold:
+            if row:
+                removed += _cascade(rows, threshold, u, support, touched)
+            continue
         steps += len(row)
         low: List[int] = []
         for v in row:
@@ -141,10 +162,45 @@ def _sweep(
             for v in low:
                 row.discard(v)
                 rows[v].discard(u)
+            for w in (u, *low):
+                if 0 < len(rows[w]) <= threshold:
+                    removed += _cascade(rows, threshold, w, support, touched)
         if budget_check is not None and steps >= _BUDGET_STRIDE:
             steps = 0
             budget_check()
     return support, touched, removed
+
+
+def _cascade(
+    rows: Rows,
+    threshold: int,
+    start: int,
+    support: Dict[Tuple[int, int], int],
+    touched: Set[int],
+) -> int:
+    """Delete every edge at ``start``, which has at most ``threshold`` neighbours.
+
+    An edge at a vertex of degree d lies in at most d - 1 triangles, fewer
+    than ``threshold``, so it is outside the truss without being counted.
+    A neighbour that falls to ``threshold`` neighbours goes the same way.
+    Each deleted edge's swept support is dropped and each neighbour that
+    lost an edge is marked touched.  Returns the number of edges deleted.
+    """
+    removed = 0
+    stack = [start]
+    while stack:
+        w = stack.pop()
+        row_w = rows[w]
+        for x in list(row_w):
+            row_w.discard(x)
+            row_x = rows[x]
+            row_x.discard(w)
+            support.pop((w, x) if w < x else (x, w), None)
+            touched.add(x)
+            removed += 1
+            if len(row_x) == threshold:
+                stack.append(x)
+    return removed
 
 
 def _peel(

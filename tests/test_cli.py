@@ -181,6 +181,13 @@ class TestErrorHandling:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_non_integer_dimacs_token_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.clq"
+        path.write_text("c bad count\np edge abc 3\n")
+        assert main(["stats", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 2: vertex count must be an integer, got 'abc'\n"
+
     def test_unknown_format_extension_exits_2(self, tmp_path, capsys):
         path = tmp_path / "graph.mystery"
         path.write_text("0 1\n")

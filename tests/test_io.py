@@ -143,6 +143,17 @@ class TestDimacs:
         with pytest.raises(GraphFormatError, match="before"):
             read_dimacs(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("p edge abc 3\n", "line 1: vertex count must be an integer, got 'abc'"),
+        ("c x\np edge 3 1\ne 1 x\n", "line 3: edge endpoint must be an integer, got 'x'"),
+    ])
+    def test_non_integer_token_is_a_format_error(self, tmp_path, text, message):
+        path = tmp_path / "g.clq"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError) as info:
+            read_dimacs(path)
+        assert str(info.value) == message
+
     def test_roundtrip_preserves_isolated_vertices(self, tmp_path):
         g = Graph(edges=[(0, 1)], vertices=[2, 3])
         path = tmp_path / "g.clq"
@@ -186,6 +197,39 @@ class TestMetis:
         loaded = read_metis(path)
         assert loaded.num_vertices == 4
         assert loaded.num_edges == 1
+
+    def test_non_integer_token_is_a_format_error(self, tmp_path):
+        path = tmp_path / "g.graph"
+        path.write_text("% comment\n2 1\n2 x\n1\n")
+        with pytest.raises(GraphFormatError, match=r"^line 3: neighbour id must be an integer, got 'x'$"):
+            read_metis(path)
+
+    def test_edge_weights_are_not_read_as_neighbours(self, tmp_path):
+        # The path 1-2-3 with fmt = 1 and unit edge weights.
+        path = tmp_path / "g.graph"
+        path.write_text("3 2 1\n2 1\n1 1 3 1\n2 1\n")
+        g = read_metis(path)
+        assert sorted(map(sorted, g.iter_edges())) == [[0, 1], [1, 2]]
+        assert g.num_edges == 2
+
+    def test_vertex_sizes_and_weights_are_skipped(self, tmp_path):
+        # fmt = 111 with ncon = 2: size, two weights, then (neighbour, weight) pairs.
+        path = tmp_path / "g.graph"
+        path.write_text("3 2 111 2\n5 7 7 2 9\n5 7 7 1 9 3 4\n5 7 7 2 4\n")
+        g = read_metis(path)
+        assert sorted(map(sorted, g.iter_edges())) == [[0, 1], [1, 2]]
+
+    @pytest.mark.parametrize("text, match", [
+        ("3 2 1\n2\n1 1 3 1\n2 1\n", "line 2: adjacency line does not match"),
+        ("2 1 12\n2\n1\n", "fmt must be up to three 0/1 digits"),
+        ("2 1 10 0\n2\n1\n", "ncon must be at least 1"),
+        ("3 3\n2\n1 3\n2\n", "declares 3 edges but the adjacency lines hold 2"),
+    ])
+    def test_header_and_lines_must_agree(self, tmp_path, text, match):
+        path = tmp_path / "g.graph"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError, match=match):
+            read_metis(path)
 
 
 class TestDispatch:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,9 +18,12 @@ from repro.graphs import (
     k_core_vertices,
     k_truss,
     k_truss_edges,
+    powerlaw_cluster_graph,
     star_graph,
     truss_reduce_in_place,
 )
+
+truss_module = importlib.import_module("repro.graphs.truss")
 
 
 def _rows(graph):
@@ -138,3 +144,109 @@ class TestKTruss:
         once = k_truss(g, k)
         twice = k_truss(once, k)
         assert set(map(frozenset, once.iter_edges())) == set(map(frozenset, twice.iter_edges()))
+
+
+def reference_truss(rows, k):
+    """The k-truss by the definition: recount every edge until none is below ``k - 2``.
+
+    Deletes by ``discard`` and drops emptied rows, as the in-place peel
+    does; returns the number of edges deleted.
+    """
+    removed = 0
+    changed = k > 2
+    while changed:
+        changed = False
+        for u, row in rows.items():
+            for v in [v for v in row if v > u and len(row & rows[v]) < k - 2]:
+                row.discard(v)
+                rows[v].discard(u)
+                removed += 1
+                changed = True
+    for v in [v for v, nbrs in rows.items() if not nbrs]:
+        del rows[v]
+    return removed
+
+
+def _layout(rows):
+    """Keys in order, each row in iteration order."""
+    return [(v, list(nbrs)) for v, nbrs in rows.items()]
+
+
+REFERENCE_GRAPHS = {
+    "sparse-gnp": lambda seed: gnp_random_graph(80, 0.08, seed=seed),
+    "dense-gnp": lambda seed: gnp_random_graph(40, 0.5, seed=seed),
+    "powerlaw": lambda seed: powerlaw_cluster_graph(300, 6, 0.3, seed=seed),
+}
+
+
+class TestTrussAgainstReferencePeel:
+    """The sweep, its degree cascade and the queue peel leave what the definition leaves."""
+
+    @pytest.fixture
+    def cascades(self, monkeypatch):
+        """The vertices each cascade starts from, in order."""
+        starts = []
+        cascade = truss_module._cascade
+
+        def recording(rows, threshold, start, support, touched):
+            starts.append(start)
+            return cascade(rows, threshold, start, support, touched)
+
+        monkeypatch.setattr(truss_module, "_cascade", recording)
+        return starts
+
+    @pytest.mark.parametrize("shape", sorted(REFERENCE_GRAPHS))
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_same_rows_layout_and_count(self, shape, k, cascades):
+        mid_sweep = 0
+        for seed in range(3):
+            graph = REFERENCE_GRAPHS[shape](seed)
+            rows, twin = _rows(graph), _rows(graph)
+            assert _layout(rows) == _layout(twin)
+            del cascades[:]
+            removed = truss_reduce_in_place(rows, k)
+            assert removed == reference_truss(twin, k)
+            assert _layout(rows) == _layout(twin)
+            mid_sweep += sum(graph.degree(v) > k - 2 for v in cascades)
+        if shape == "powerlaw":
+            # Vertices that started above k - 2 neighbours and fell to it.
+            assert mid_sweep
+
+    def test_cascade_fires_mid_sweep(self, cascades):
+        # K5 on 0..4 plus the 4-cycle 5-6-7-8 with chords 0-5 and 0-6.  At
+        # k = 4, row 0 counts 0-5 and 0-6 in one triangle each and deletes
+        # them, which leaves 5 with k - 2 = 2 neighbours: the cascade takes
+        # the whole cycle without counting it.
+        g = complete_graph(5)
+        for u, v in [(5, 6), (6, 7), (7, 8), (8, 5), (0, 5), (0, 6)]:
+            g.add_edge(u, v)
+        rows, twin = _rows(g), _rows(g)
+        assert truss_reduce_in_place(rows, 4) == reference_truss(twin, 4) == 6
+        assert _layout(rows) == _layout(twin)
+        assert sorted(rows) == [0, 1, 2, 3, 4]
+        assert cascades[0] == 5 and g.degree(5) == 3
+
+    @pytest.mark.parametrize("polls_before_raise", [0, 1, 3, 6])
+    def test_budget_raised_mid_sweep_leaves_symmetric_rows_holding_the_truss(
+        self, monkeypatch, polls_before_raise
+    ):
+        monkeypatch.setattr(truss_module, "_BUDGET_STRIDE", 64)
+        graph = powerlaw_cluster_graph(300, 6, 0.3, seed=1)
+        truss = _rows(graph)
+        reference_truss(truss, 5)
+        rows = _rows(graph)
+        polls = []
+
+        def budget_check():
+            polls.append(None)
+            if len(polls) > polls_before_raise:
+                raise TimeoutError
+
+        with pytest.raises(TimeoutError):
+            truss_reduce_in_place(rows, 5, budget_check=budget_check)
+        for u, nbrs in rows.items():
+            assert u not in nbrs
+            assert all(u in rows[v] for v in nbrs)
+        for u, nbrs in truss.items():
+            assert nbrs <= rows[u]
+        assert sum(map(len, rows.values())) > sum(map(len, truss.values()))

@@ -88,3 +88,36 @@ def test_peak_rss_has_its_own_bound(ab, bench, ratio, expected):
     assert bounds["peak_rss_mb"] < 1.22 - 1 < bounds["latency_ms_p50"]
     passed, report = ab.verdict(bench, pairs([line({"peak_rss_mb": ratio})] * 5))
     assert passed is expected, report
+
+
+def _tree(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def _files(root):
+    return {str(p.relative_to(root)): p.read_text() for p in root.rglob("*") if p.is_file()}
+
+
+def test_fresh_copies_leave_out_work_files_and_caches(ab, tmp_path):
+    kept = {"src/pkg/mod.py": "x = 1\n", "perfbench/run.py": "# parent\n", "BENCHMARK.json": "{}",
+            "tests/test_a.py": "", ".github/perfbench_ab.py": ""}
+    skipped = {".git/HEAD": "ref", ".perfbench_work/spans.json": "[]",
+               "src/pkg/__pycache__/mod.cpython-311.pyc": "", "tests/__pycache__/t.pyc": "",
+               ".pytest_cache/v/cache/lastfailed": "{}", ".hypothesis/examples/x": ""}
+    parent = _tree(tmp_path / "parent", {**kept, **skipped})
+    change = _tree(tmp_path / "change", {**kept, "perfbench/run.py": "# change\n",
+                                         "BENCHMARK.json": '{"run_seconds": 1}', **skipped})
+    before = _files(parent)
+    trees = ab.fresh_copies(str(parent), str(change), str(tmp_path / "scratch"))
+    assert set(trees) == {"parent", "change"}
+    copied = {side: _files(tmp_path / "scratch" / side) for side in trees}
+    assert set(copied["parent"]) == set(copied["change"]) == set(kept)
+    # The parent copy runs the change's benchmark code; the parent tree is untouched.
+    assert copied["parent"]["perfbench/run.py"] == "# change\n"
+    assert copied["parent"]["BENCHMARK.json"] == '{"run_seconds": 1}'
+    assert copied["parent"]["src/pkg/mod.py"] == "x = 1\n"
+    assert _files(parent) == before
