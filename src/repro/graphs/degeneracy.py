@@ -111,7 +111,8 @@ def degeneracy_ordering(graph: Union[Graph, Rows]) -> DegeneracyResult:
             continue  # stale bucket entry, or v already removed
 
         degree[v] = -1
-        degeneracy_value = max(degeneracy_value, d)
+        if d > degeneracy_value:
+            degeneracy_value = d
         core_number[v] = degeneracy_value
         ordering.append(v)
 

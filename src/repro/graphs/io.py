@@ -85,6 +85,7 @@ def _read_edge_rows(handle: TextIO, comments: str) -> Tuple[Rows, int]:
     """
     rows: Rows = {}
     labels: Dict[str, Vertex] = {}
+    label_of, row_of = labels.get, rows.get
     num_edges = 0
     for lineno, line in enumerate(handle, start=1):
         parts = line.split()
@@ -98,23 +99,23 @@ def _read_edge_rows(handle: TextIO, comments: str) -> Tuple[Rows, int]:
                 _add_isolated(rows, line.strip(), comments)
                 continue
             raise GraphFormatError(f"line {lineno}: expected two vertex ids, got {a!r}") from None
-        u = labels.get(a)
+        u = label_of(a)
         if u is None:
             if a[0] in comments:
                 _add_isolated(rows, line.strip(), comments)
                 continue
             u = labels[a] = _coerce(a)
-        v = labels.get(b)
+        v = label_of(b)
         if v is None:
             v = _coerce(b)
             if b[0] not in comments:
                 labels[b] = v
         if u == v:
             continue  # drop self-loops from raw data
-        row_u = rows.get(u)
+        row_u = row_of(u)
         if row_u is None:
             row_u = rows[u] = set()
-        row_v = rows.get(v)
+        row_v = row_of(v)
         if row_v is None:
             row_v = rows[v] = set()
         if v not in row_u:

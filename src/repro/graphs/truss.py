@@ -191,13 +191,14 @@ def _cascade(
     while stack:
         w = stack.pop()
         row_w = rows[w]
-        for x in list(row_w):
+        nbrs = list(row_w)
+        removed += len(nbrs)
+        touched.update(nbrs)
+        for x in nbrs:
             row_w.discard(x)
             row_x = rows[x]
             row_x.discard(w)
             support.pop((w, x) if w < x else (x, w), None)
-            touched.add(x)
-            removed += 1
             if len(row_x) == threshold:
                 stack.append(x)
     return removed
