@@ -186,9 +186,10 @@ class Graph:
 
         ``rows`` must be symmetric and loop-free, hold ``num_edges`` edges
         and be shared with nothing else.  The graph keeps them as given, so
-        it iterates in their vertex and neighbour order.  The readers of
-        :mod:`repro.graphs.io`, :meth:`subgraph` and :meth:`relabel` build
-        graphs through this, so no other module writes a graph's rows.
+        it iterates in their vertex and neighbour order.  The edge-list
+        reader of :mod:`repro.graphs.io`, :meth:`subgraph` and
+        :meth:`relabel` build graphs through this, so no other module
+        writes a graph's rows.
         """
         g = cls.__new__(cls)
         g._adj = rows
