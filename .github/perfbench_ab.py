@@ -57,7 +57,7 @@ def fresh_copies(parent: str, change: str, scratch: str) -> dict:
         trees[side] = os.path.join(scratch, side)
         shutil.copytree(tree, trees[side], symlinks=True, ignore=ignore)
     target = os.path.join(trees["parent"], "perfbench")
-    shutil.rmtree(target)
+    shutil.rmtree(target, ignore_errors=True)
     shutil.copytree(os.path.join(trees["change"], "perfbench"), target)
     shutil.copyfile(os.path.join(trees["change"], "BENCHMARK.json"),
                     os.path.join(trees["parent"], "BENCHMARK.json"))

@@ -9,10 +9,9 @@ The peel reads adjacency rows (:data:`~repro.graphs.graph.Rows`), so it runs
 unchanged on a :class:`~repro.graphs.graph.Graph`, on the integer rows of the
 prepare pipeline and on the ego nets of Degen-opt.  Ties follow the rows'
 iteration order: the vertex order of the dict, then each neighbour set's.
-A removed vertex is marked by the degree sentinel -1 rather than kept in a
-set of its own: a removed vertex's bucket entries never match its degree,
-and a live neighbour of the vertex being removed always has degree at
-least 1, so one dict read answers both questions.
+A removed vertex's degree is the sentinel -1: its stale bucket entries
+never match it, and a live neighbour of the vertex being removed always
+has degree at least 1, so one dict read tells both apart.
 """
 
 from __future__ import annotations

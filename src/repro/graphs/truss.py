@@ -28,7 +28,7 @@ The peel runs in place on integer adjacency rows
 Both phases are still O(δ(G) · m).  On sparse inputs the sweep removes
 nearly every edge, so the peel, with its per-edge bookkeeping, sees only the
 few that remain, and the cascade spares the sweep the counts of edges at
-vertices it has already stripped below the threshold.
+vertices whose degree has fallen to ``k - 2``.
 
 Neither the order of deletions nor the cascade can change the result.  The
 k-truss is unique, so any order of safe deletions ends at the same edge
