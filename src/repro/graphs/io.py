@@ -14,10 +14,11 @@ Supported formats
   ``fmt`` declares are skipped.
 
 All readers return a :class:`~repro.graphs.graph.Graph` whose vertices are
-integers, and all writers accept any graph (labels are written with ``str``).
+integers (the edge-list reader keeps a label that is not one as a string),
+and all writers accept any graph (labels are written with ``str``).
 A file that does not parse raises
-:class:`~repro.exceptions.GraphFormatError`, naming the line where the file
-has one, never a bare ``ValueError``.
+:class:`~repro.exceptions.GraphFormatError`, which names the offending line
+when there is one, never a bare ``ValueError``.
 
 The edge-list reader is the first layer of a cold solve, so it reads in one
 tight loop: each distinct token is turned into its label once, and the rows
