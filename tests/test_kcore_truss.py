@@ -242,8 +242,9 @@ class TestTrussAgainstReferencePeel:
             if len(polls) > polls_before_raise:
                 raise TimeoutError
 
-        with pytest.raises(TimeoutError):
+        with pytest.raises(TimeoutError) as info:
             truss_reduce_in_place(rows, 5, budget_check=budget_check)
+        assert any(entry.name == "_sweep" for entry in info.traceback)
         for u, nbrs in rows.items():
             assert u not in nbrs
             assert all(u in rows[v] for v in nbrs)
